@@ -216,7 +216,6 @@ def config_fingerprint(system: Union[str, CoolAirConfig]) -> str:
 def effective_engine(
     system: Union[str, CoolAirConfig],
     engine: Optional[str] = None,
-    plant: str = "parasol",
 ) -> str:
     """The simulation engine a run of ``system`` would actually use.
 
@@ -230,9 +229,7 @@ def effective_engine(
     """
     from repro.sim.eligibility import decide_engine
 
-    return decide_engine(
-        system, engine or DEFAULT_SIM_ENGINE, plant=plant
-    ).engine
+    return decide_engine(system, engine or DEFAULT_SIM_ENGINE).engine
 
 
 def _resolve_system(
@@ -249,7 +246,6 @@ def day_unfold_eligible(
     system: Union[str, CoolAirConfig],
     deferrable: bool = False,
     engine: Optional[str] = None,
-    plant: str = "parasol",
 ) -> bool:
     """Whether a cell's sampled days may be unfolded into lanes.
 
@@ -273,10 +269,7 @@ def day_unfold_eligible(
 
     system, _ = _resolve_system(system)
     return decide_engine(
-        system,
-        engine or DEFAULT_SIM_ENGINE,
-        plant=plant,
-        deferrable=deferrable,
+        system, engine or DEFAULT_SIM_ENGINE, deferrable=deferrable
     ).day_unfold
 
 
@@ -302,7 +295,7 @@ def cache_key(
     """
     system, _ = _resolve_system(system)
     sample = sample_every_days or DEFAULT_SAMPLE_DAYS
-    engine = effective_engine(system, engine, plant)
+    engine = effective_engine(system, engine)
     plant_token = "" if plant == "parasol" else f"-p{plant}"
     return (
         f"{config_fingerprint(system)}-{climate.name}-{workload}"
@@ -406,7 +399,7 @@ def year_result(
     plant = resolve_plant(plant)
     sample = sample_every_days or DEFAULT_SAMPLE_DAYS
     system, _ = _resolve_system(system)
-    engine = effective_engine(system, engine, plant)
+    engine = effective_engine(system, engine)
     key = cache_key(
         system,
         climate,
@@ -444,7 +437,7 @@ def year_result(
             plant=plant,
         )
         width = resolve_day_lanes(day_lanes)
-        if width > 1 and day_unfold_eligible(system, deferrable, engine, plant):
+        if width > 1 and day_unfold_eligible(system, deferrable, engine):
             result = run_year_unfolded(
                 scenario, width, model=model, sample_every_days=sample
             )

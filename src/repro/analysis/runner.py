@@ -736,9 +736,7 @@ def run_year_tasks(
     if day_width > 1:
         for index in pending:
             task = tasks[index]
-            if experiments.day_unfold_eligible(
-                task.system, task.deferrable, plant=task.plant
-            ):
+            if experiments.day_unfold_eligible(task.system, task.deferrable):
                 width = (
                     task.day_lanes if task.day_lanes is not None else day_width
                 )
@@ -786,10 +784,7 @@ def run_year_tasks(
             if index in unfolded:
                 continue
             system, _ = experiments._resolve_system(tasks[index].system)
-            if (
-                experiments.effective_engine(system, plant=tasks[index].plant)
-                == "lanes"
-            ):
+            if experiments.effective_engine(system) == "lanes":
                 sample = (
                     tasks[index].sample_every_days
                     or experiments.DEFAULT_SAMPLE_DAYS

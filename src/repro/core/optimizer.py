@@ -9,6 +9,7 @@ regime, then toward staying put (regime changes are what cause variation).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from typing import List, Optional, Sequence, Tuple
 
@@ -18,7 +19,7 @@ from repro.cooling.regimes import CoolingCommand, CoolingMode
 from repro.core.band import TemperatureBand
 from repro.core.config import CoolAirConfig
 from repro.core.predictor import CoolingPredictor, PredictorState
-from repro.core.utility import UtilityFunction
+from repro.core.utility import RegimePrediction, UtilityFunction
 
 # Fan speeds closer than this are operationally indistinguishable; offering
 # both wastes a predictor rollout (they arise from floating-point drift when
@@ -99,9 +100,9 @@ class CoolingOptimizer:
         self.predictor = predictor
         self.utility = utility
         self.smooth_hardware = smooth_hardware
-        # Batched scoring is bit-identical to the sequential reference path
-        # (see CoolingPredictor.predict_batch); the flag exists so tests can
-        # assert that equivalence and so regressions can be bisected.
+        # False selects the per-candidate reference path (predict + score),
+        # which the default lane-kernel path matches bit for bit; the flag
+        # exists so tests can assert that equivalence.
         self.use_batched = use_batched
         self.last_scores: List[Tuple[CoolingCommand, float]] = []
 
@@ -138,19 +139,26 @@ class CoolingOptimizer:
         """Pick the regime with the lowest predicted penalty.
 
         ``active_sensor_indices`` restricts the utility sum to "the sensors
-        of all active pods" (Section 3.2); None scores every sensor.
+        of all active pods" (Section 3.2); None scores every sensor.  The
+        rollout is a width-1 :meth:`CoolingPredictor.predict_lanes_stacked`
+        call, so a scalar-engine decision runs the lane engine's kernels.
         """
         steps = self.config.steps_per_control_period
         candidates = self._candidates(state, band)
-        if self.use_batched:
-            predictions = self.predictor.predict_batch(state, candidates, steps)
-        else:
+        if not self.use_batched:
             predictions = [
                 self.predictor.predict(state, command, steps)
                 for command in candidates
             ]
-        return self.decide_from_predictions(
-            state, band, candidates, predictions, active_sensor_indices
+            return self.decide_from_predictions(
+                state, band, candidates, predictions, active_sensor_indices
+            )
+        ((temps, rh, energies, ac_full),) = (
+            self.predictor.predict_lanes_stacked([state], [candidates], steps)
+        )
+        return self.decide_from_stacked(
+            state, band, candidates, temps, rh, energies, ac_full,
+            active_sensor_indices,
         )
 
     def decide_from_predictions(
@@ -158,61 +166,37 @@ class CoolingOptimizer:
         state: PredictorState,
         band: TemperatureBand,
         candidates: Sequence[CoolingCommand],
-        predictions: Sequence,
+        predictions: Sequence[RegimePrediction],
         active_sensor_indices: Optional[Sequence[int]] = None,
     ) -> CoolingCommand:
-        """Score precomputed candidate predictions and select the winner.
-
-        Split out of :meth:`decide` so the lane-batched engine, which runs
-        the predictor rollouts for many lanes at once, funnels each lane's
-        predictions through exactly this scoring and tie-break code.
-        """
+        """Reference selection: :meth:`UtilityFunction.score` per candidate."""
         horizon_s = float(self.config.control_period_s)
-        best_command: Optional[CoolingCommand] = None
-        best_key: Optional[Tuple[float, float, int]] = None
-        self.last_scores = []
-
         if active_sensor_indices is not None:
             indices = list(active_sensor_indices)
             predictions = [
-                type(prediction)(
+                dataclasses.replace(
+                    prediction,
                     sensor_temps_c=prediction.sensor_temps_c[:, indices],
-                    rh_pct=prediction.rh_pct,
-                    cooling_energy_kwh=prediction.cooling_energy_kwh,
-                    ac_at_full_speed=prediction.ac_at_full_speed,
                 )
                 for prediction in predictions
             ]
             current = [state.sensor_temps_c[i] for i in indices]
         else:
             current = list(state.sensor_temps_c)
-        if self.use_batched:
-            scores = self.utility.score_batch(
-                predictions, band, current, horizon_s
-            )
-        else:
-            scores = [
-                self.utility.score(prediction, band, current, horizon_s)
-                for prediction in predictions
-            ]
-        for command, prediction, score in zip(candidates, predictions, scores):
-            self.last_scores.append((command, score))
-            same_mode = 0 if command.mode is state.mode else 1
-            key = (round(score, 6), prediction.cooling_energy_kwh, same_mode)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_command = command
-
-        assert best_command is not None
-        return best_command
+        scores = [
+            self.utility.score(prediction, band, current, horizon_s)
+            for prediction in predictions
+        ]
+        energies = [prediction.cooling_energy_kwh for prediction in predictions]
+        return self._select(state, candidates, energies, scores)
 
     def decide_from_stacked(
         self,
         state: PredictorState,
         band: TemperatureBand,
         candidates: Sequence[CoolingCommand],
-        temps: "np.ndarray",
-        rh: "np.ndarray",
+        temps: np.ndarray,
+        rh: np.ndarray,
         energies: Sequence[float],
         ac_full: Sequence[bool],
         active_sensor_indices: Optional[Sequence[int]] = None,
@@ -220,22 +204,20 @@ class CoolingOptimizer:
         """:meth:`decide_from_predictions` on pre-stacked prediction arrays.
 
         ``temps`` is (candidates, steps, sensors) and ``rh`` (candidates,
-        steps) — the lane engine's :meth:`CoolingPredictor
-        .predict_lanes_stacked` output.  The active-sensor restriction is a
-        single gather here (``temps[:, :, indices]`` holds exactly the
-        values the per-candidate rebuild produces), and scoring goes
-        through :meth:`UtilityFunction.score_arrays`, the same tensor code
-        ``score_batch`` uses after stacking.  Selection and tie-breaking
-        are the same key comparison as the reference path.
+        steps) — one lane of :meth:`CoolingPredictor.predict_lanes_stacked`
+        output — scored through :meth:`UtilityFunction.score_arrays`.
+        Scores equal the reference path's bit for bit.  That includes the
+        active-sensor restriction: the gather is laid out in memory like
+        the reference's per-candidate ``sensor_temps_c[:, indices]``
+        stacked (sensor-major within each candidate), because numpy sums
+        in memory order and a different layout rounds differently.
         """
         horizon_s = float(self.config.control_period_s)
-        best_command: Optional[CoolingCommand] = None
-        best_key: Optional[Tuple[float, float, int]] = None
-        self.last_scores = []
-
         if active_sensor_indices is not None:
             indices = list(active_sensor_indices)
-            temps = temps[:, :, indices]
+            temps = np.ascontiguousarray(
+                temps.transpose(0, 2, 1)[:, indices, :]
+            ).transpose(0, 2, 1)
             current = [state.sensor_temps_c[i] for i in indices]
         else:
             current = list(state.sensor_temps_c)
@@ -248,13 +230,23 @@ class CoolingOptimizer:
             current,
             horizon_s,
         )
-        for command, energy, score in zip(candidates, energies, scores):
-            self.last_scores.append((command, score))
-            same_mode = 0 if command.mode is state.mode else 1
-            key = (round(score, 6), energy, same_mode)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_command = command
+        return self._select(state, candidates, energies, scores)
 
-        assert best_command is not None
-        return best_command
+    def _select(
+        self,
+        state: PredictorState,
+        candidates: Sequence[CoolingCommand],
+        energies: Sequence[float],
+        scores: Sequence[float],
+    ) -> CoolingCommand:
+        """Lowest penalty; ties go to the cheaper regime, then to staying put."""
+        self.last_scores = list(zip(candidates, scores))
+        best = min(
+            range(len(candidates)),
+            key=lambda i: (
+                round(scores[i], 6),
+                energies[i],
+                0 if candidates[i].mode is state.mode else 1,
+            ),
+        )
+        return candidates[best]

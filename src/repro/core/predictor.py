@@ -15,7 +15,7 @@ compressor-on and compressor-off models, weighted by compressor duty.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -45,8 +45,44 @@ class PredictorState:
     outside_mixing_ratio: float
 
 
+class _CandidatePlan(NamedTuple):
+    """One (current mode, candidate set)'s rollout layout.
+
+    Each candidate expands to one model row, or two for a duty-blended AC
+    candidate (compressor-on then compressor-off); ``row_index`` maps rows
+    back to candidates.
+    """
+
+    duties: List[float]
+    fans: np.ndarray  # per candidate
+    row_index: np.ndarray
+    fans_rows: np.ndarray  # per row
+    keys_first: Tuple[str, ...]
+    keys_steady: Tuple[str, ...]
+    hum_b0_first: np.ndarray
+    hum_coef_first: np.ndarray
+    hum_b0_steady: np.ndarray
+    hum_coef_steady: np.ndarray
+    weights: np.ndarray
+    starts: np.ndarray
+
+
+def _ac_at_full_speed(command: CoolingCommand, duty: float) -> bool:
+    """"Turning on the AC at full speed" (Section 3.2): the compressor at
+    full blast, or the fixed-speed AC fan running flat out."""
+    return (command.mode is CoolingMode.AC_ON and duty >= 1.0 - 1e-9) or (
+        command.mode in (CoolingMode.AC_ON, CoolingMode.AC_FAN)
+        and command.ac_fan_speed >= 1.0 - 1e-9
+    )
+
+
 class CoolingPredictor:
-    """Iterates the learned 2-minute model out to the control horizon."""
+    """Iterates the learned 2-minute model out to the control horizon.
+
+    Two rollout entry points: :meth:`predict`, the per-candidate reference,
+    and :meth:`predict_lanes_stacked`, the production path every CoolAir
+    decision runs (one lane for the scalar engine, N for the lane engine).
+    """
 
     def __init__(self, model: CoolingModel, model_step_s: int = 120) -> None:
         if model_step_s <= 0:
@@ -55,10 +91,11 @@ class CoolingPredictor:
         self.model_step_s = model_step_s
         # Power depends only on the command (regime + duty + fan speed);
         # memoized because the optimizer re-prices the same candidates
-        # every control period.  Batch plans likewise recur per
-        # (mode, candidate set).
+        # every control period.  Rollout plans likewise recur per
+        # (mode, candidate set), and lane batches per combination of plans.
         self._power_cache: dict = {}
-        self._batch_plans: dict = {}
+        self._plans: dict = {}
+        self._lane_combo_cache: dict = {}
 
     def predict(
         self,
@@ -124,168 +161,23 @@ class CoolingPredictor:
         power_w = self._predict_power(state.mode, command, duty)
         horizon_s = steps * self.model_step_s
         energy_kwh = power_w * horizon_s / 3.6e6
-        # "Turning on the AC at full speed" (Section 3.2): the compressor
-        # at full blast, or the fixed-speed AC fan running flat out.
-        ac_full = (
-            command.mode is CoolingMode.AC_ON and duty >= 1.0 - 1e-9
-        ) or (
-            command.mode in (CoolingMode.AC_ON, CoolingMode.AC_FAN)
-            and command.ac_fan_speed >= 1.0 - 1e-9
-        )
         return RegimePrediction(
             sensor_temps_c=np.vstack(temp_rows),
             rh_pct=np.asarray(rh_rows),
             cooling_energy_kwh=energy_kwh,
-            ac_at_full_speed=ac_full,
+            ac_at_full_speed=_ac_at_full_speed(command, duty),
         )
 
-    def predict_batch(
-        self,
-        state: PredictorState,
-        commands: Sequence[CoolingCommand],
-        steps: int,
-    ) -> List[RegimePrediction]:
-        """Score every candidate regime in one vectorized rollout.
-
-        Returns exactly ``[self.predict(state, c, steps) for c in commands]``
-        — bit-identical, not merely close: the batched einsum contracts each
-        candidate row with the same per-element operation order as the
-        scalar path, AC duty blending happens at the prediction level with
-        the same arithmetic, and the (cheap) humidity/power/RH quantities
-        reuse the scalar code paths outright.
-        """
-        if steps < 1:
-            raise ConfigError("steps must be >= 1")
-        num_sensors = self.model.num_sensors
-        if len(state.sensor_temps_c) != num_sensors:
-            raise ConfigError(
-                f"state has {len(state.sensor_temps_c)} sensors, model expects "
-                f"{num_sensors}"
-            )
-        if not commands:
-            return []
-
-        num_cands = len(commands)
-        plan = self._get_plan(state.mode, tuple(commands))
-        (
-            duties,
-            fans,
-            blended,
-            row_index,
-            fans_rows,
-            keys_first,
-            keys_steady,
-            hum_first,
-            hum_steady,
-        ) = plan[:9]
-
-        temps = np.tile(np.array(state.sensor_temps_c, dtype=float), (num_cands, 1))
-        prev_temps = np.tile(
-            np.array(state.prev_sensor_temps_c, dtype=float), (num_cands, 1)
-        )
-        w_in = [state.inside_mixing_ratio] * num_cands
-
-        traj = np.empty((steps, num_cands, num_sensors))
-        rh_mat = np.empty((steps, num_cands))
-        hum_buf = np.empty(5)
-        # Feature tensor lives at row level; constant columns fill once.
-        feats = np.empty((fans_rows.shape[0], num_sensors, 9))
-        feats[:, :, 2] = state.outside_temp_c
-        feats[:, :, 4] = fans_rows[:, None]
-        feats[:, :, 6] = state.utilization
-        feats[:, :, 8] = (fans_rows * state.outside_temp_c)[:, None]
-        for step in range(steps):
-            first = step == 0
-            temps_rows = temps[row_index]
-            feats[:, :, 0] = temps_rows
-            feats[:, :, 1] = prev_temps[row_index]
-            feats[:, :, 3] = (
-                state.prev_outside_temp_c if first else state.outside_temp_c
-            )
-            feats[:, :, 5] = state.fan_speed if first else fans_rows[:, None]
-            feats[:, :, 7] = fans_rows[:, None] * temps_rows
-
-            intercepts, coefs = self.model.batched_vectorized(
-                keys_first if first else keys_steady
-            )
-            preds = intercepts + np.einsum("rsf,rsf->rs", coefs, feats)
-
-            next_temps = np.empty((num_cands, num_sensors))
-            row = 0
-            for i in range(num_cands):
-                if blended[i]:
-                    duty = duties[i]
-                    next_temps[i] = (
-                        duty * preds[row] + (1.0 - duty) * preds[row + 1]
-                    )
-                    row += 2
-                else:
-                    next_temps[i] = preds[row]
-                    row += 1
-
-            means = next_temps.mean(axis=1)
-            hum_models = hum_first if first else hum_steady
-            out_w = state.outside_mixing_ratio
-            hum_feats = hum_buf
-            hum_feats[1] = out_w
-            dot = np.dot
-            row = 0
-            for i, cmd in enumerate(commands):
-                cmd_fan = cmd.fc_fan_speed
-                w = w_in[i]
-                hum_feats[0] = w
-                hum_feats[2] = cmd_fan
-                hum_feats[3] = cmd_fan * w
-                hum_feats[4] = cmd_fan * out_w
-                # Inlined LinearRegression.predict_one, clamped like
-                # CoolingModel.predict_humidity.
-                b0, coef = hum_models[row]
-                if blended[i]:
-                    duty = duties[i]
-                    on = max(1e-6, b0 + float(dot(coef, hum_feats)))
-                    b1, coef1 = hum_models[row + 1]
-                    off = max(1e-6, b1 + float(dot(coef1, hum_feats)))
-                    w_in[i] = duty * on + (1.0 - duty) * off
-                    row += 2
-                else:
-                    w_in[i] = max(1e-6, b0 + float(dot(coef, hum_feats)))
-                    row += 1
-            rh_mat[step] = absolute_to_relative_humidity_array(
-                np.array(w_in, dtype=float), means
-            )
-            prev_temps = temps
-            temps = next_temps
-            traj[step] = next_temps
-
-        horizon_s = steps * self.model_step_s
-        predictions: List[RegimePrediction] = []
-        for i, cmd in enumerate(commands):
-            duty = duties[i]
-            power_w = self._predict_power(state.mode, cmd, duty)
-            ac_full = (
-                cmd.mode is CoolingMode.AC_ON and duty >= 1.0 - 1e-9
-            ) or (
-                cmd.mode in (CoolingMode.AC_ON, CoolingMode.AC_FAN)
-                and cmd.ac_fan_speed >= 1.0 - 1e-9
-            )
-            predictions.append(
-                RegimePrediction(
-                    sensor_temps_c=traj[:, i, :].copy(),
-                    rh_pct=rh_mat[:, i].copy(),
-                    cooling_energy_kwh=power_w * horizon_s / 3.6e6,
-                    ac_at_full_speed=ac_full,
-                )
-            )
-        return predictions
-
-    def _get_plan(self, mode: CoolingMode, commands: Tuple[CoolingCommand, ...]):
+    def _get_plan(
+        self, mode: CoolingMode, commands: Tuple[CoolingCommand, ...]
+    ) -> _CandidatePlan:
         """Row layout / regime keys / humidity params for one candidate set.
 
         The expansion depends only on (current mode, candidate set) — both
         recur every control period, so the plan is built once and cached.
         """
         plan_key = (mode, commands)
-        plan = self._batch_plans.get(plan_key)
+        plan = self._plans.get(plan_key)
         if plan is not None:
             return plan
         duties = [c.ac_compressor_duty for c in commands]
@@ -293,20 +185,24 @@ class CoolingPredictor:
 
         # Variable-duty AC candidates evaluate both the compressor-on
         # and compressor-off models each step; every other candidate is
-        # one row.
-        blended = [
-            c.mode is CoolingMode.AC_ON and 0.0 < duties[i] < 1.0
-            for i, c in enumerate(commands)
-        ]
+        # one row.  The duty-blend weights are duty / (1 - duty) on a
+        # blended pair's rows and 1.0 elsewhere (1.0 * x passes through
+        # exactly), and `starts` marks each candidate's first row for
+        # reduceat.
         row_cand: List[int] = []
         row_target: List[CoolingMode] = []
+        weights: List[float] = []
+        starts: List[int] = []
         for i, cmd in enumerate(commands):
-            if blended[i]:
+            starts.append(len(row_cand))
+            if cmd.mode is CoolingMode.AC_ON and 0.0 < duties[i] < 1.0:
                 row_cand.extend((i, i))
                 row_target.extend((CoolingMode.AC_ON, CoolingMode.AC_FAN))
+                weights.extend((duties[i], 1.0 - duties[i]))
             else:
                 row_cand.append(i)
                 row_target.append(cmd.mode)
+                weights.append(1.0)
         row_index = np.asarray(row_cand)
         # Regime keys differ only between the first (transition) step
         # and the steady remainder, so two stacked-coefficient lookups.
@@ -315,87 +211,24 @@ class CoolingPredictor:
             regime_key(commands[c].mode, t)
             for c, t in zip(row_cand, row_target)
         )
-        hum_first = [
-            (m.intercept, m.coefficients)
-            for m in (
-                self.model.resolved_humidity_model(k) for k in keys_first
-            )
-        ]
-        hum_steady = [
-            (m.intercept, m.coefficients)
-            for m in (
-                self.model.resolved_humidity_model(k) for k in keys_steady
-            )
-        ]
-        # Stacked forms of the humidity models and the duty-blend weights
-        # for the lane path: weights are duty / (1 - duty) on a blended
-        # pair's rows and 1.0 elsewhere (1.0 * x passes through exactly),
-        # and `starts` marks each candidate's first row for reduceat.
-        hum_b0_first = np.array([b0 for b0, _ in hum_first])
-        hum_coef_first = np.stack([c for _, c in hum_first])
-        hum_b0_steady = np.array([b0 for b0, _ in hum_steady])
-        hum_coef_steady = np.stack([c for _, c in hum_steady])
-        weights = np.ones(len(row_cand))
-        starts = np.empty(len(commands), dtype=np.intp)
-        row = 0
-        for i in range(len(commands)):
-            starts[i] = row
-            if blended[i]:
-                weights[row] = duties[i]
-                weights[row + 1] = 1.0 - duties[i]
-                row += 2
-            else:
-                row += 1
-        plan = (
-            duties,
-            fans,
-            blended,
-            row_index,
-            fans[row_index],
-            keys_first,
-            keys_steady,
-            hum_first,
-            hum_steady,
-            hum_b0_first,
-            hum_coef_first,
-            hum_b0_steady,
-            hum_coef_steady,
-            weights,
-            starts,
+        hum_first = [self.model.resolved_humidity_model(k) for k in keys_first]
+        hum_steady = [self.model.resolved_humidity_model(k) for k in keys_steady]
+        plan = _CandidatePlan(
+            duties=duties,
+            fans=fans,
+            row_index=row_index,
+            fans_rows=fans[row_index],
+            keys_first=keys_first,
+            keys_steady=keys_steady,
+            hum_b0_first=np.array([m.intercept for m in hum_first]),
+            hum_coef_first=np.stack([m.coefficients for m in hum_first]),
+            hum_b0_steady=np.array([m.intercept for m in hum_steady]),
+            hum_coef_steady=np.stack([m.coefficients for m in hum_steady]),
+            weights=np.array(weights),
+            starts=np.array(starts, dtype=np.intp),
         )
-        self._batch_plans[plan_key] = plan
+        self._plans[plan_key] = plan
         return plan
-
-    def predict_lanes(
-        self,
-        states: Sequence[PredictorState],
-        commands_per_lane: Sequence[Sequence[CoolingCommand]],
-        steps: int,
-    ) -> List[List[RegimePrediction]]:
-        """Candidate rollouts for many lanes as RegimePrediction objects.
-
-        Returns exactly ``[self.predict_batch(s, c, steps) for s, c in
-        zip(states, commands_per_lane)]`` — bit-identical per lane.  Thin
-        assembly over :meth:`predict_lanes_stacked`; the lane engine calls
-        the stacked form directly and skips the per-candidate objects.
-        """
-        stacked = self.predict_lanes_stacked(states, commands_per_lane, steps)
-        results: List[List[RegimePrediction]] = []
-        for (temps, rh, energies, ac_full), commands in zip(
-            stacked, commands_per_lane
-        ):
-            results.append(
-                [
-                    RegimePrediction(
-                        sensor_temps_c=temps[i].copy(),
-                        rh_pct=rh[i].copy(),
-                        cooling_energy_kwh=energies[i],
-                        ac_at_full_speed=ac_full[i],
-                    )
-                    for i in range(len(commands))
-                ]
-            )
-        return results
 
     def predict_lanes_stacked(
         self,
@@ -407,8 +240,9 @@ class CoolingPredictor:
 
         Per lane, returns ``(temps, rh, energies, ac_full)`` with ``temps``
         shaped (candidates, steps, sensors) and ``rh`` (candidates, steps)
-        — exactly the arrays ``score_batch`` would stack from that lane's
-        :meth:`predict_batch` output, bit-identical element for element.
+        — bit-identical, element for element, to stacking that lane's
+        :meth:`predict` results; the width-1 call is the scalar engine's
+        production rollout.
         Every lane's candidate rows are concatenated into one feature
         tensor so each rollout step costs a single einsum for the whole
         batch; the ``'rsf,rsf->rs'`` contraction is row-independent, so
@@ -442,17 +276,14 @@ class CoolingPredictor:
         # cached for the predictor's lifetime, so their ids are stable
         # keys), and lane batches revisit the same handful of plan combos
         # every control period — cache the assembled bookkeeping per combo.
-        cache = getattr(self, "_lane_combo_cache", None)
-        if cache is None:
-            cache = {}
-            self._lane_combo_cache = cache
+        cache = self._lane_combo_cache
         combo_key = (steps, *map(id, plans))
         entry = cache.get(combo_key)
         if entry is None:
             cand_counts = np.array([len(c) for c in commands_per_lane])
             cand_offsets = np.concatenate(([0], np.cumsum(cand_counts)))
             total_cands = int(cand_offsets[-1])
-            row_counts = np.array([plan[4].shape[0] for plan in plans])
+            row_counts = np.array([plan.fans_rows.shape[0] for plan in plans])
             row_offsets = np.concatenate(([0], np.cumsum(row_counts)))
             total_rows = int(row_offsets[-1])
             cand_slices = [
@@ -466,15 +297,15 @@ class CoolingPredictor:
             # untouched).
             global_row_index = np.concatenate(
                 [
-                    plans[lane][3] + int(cand_offsets[lane])
+                    plans[lane].row_index + int(cand_offsets[lane])
                     for lane in range(num_lanes)
                 ]
             )
-            fans_rows_all = np.concatenate([plan[4] for plan in plans])
-            weights = np.concatenate([plan[13] for plan in plans])
+            fans_rows_all = np.concatenate([plan.fans_rows for plan in plans])
+            weights = np.concatenate([plan.weights for plan in plans])
             starts = np.concatenate(
                 [
-                    plans[lane][14] + int(row_offsets[lane])
+                    plans[lane].starts + int(row_offsets[lane])
                     for lane in range(num_lanes)
                 ]
             )
@@ -482,16 +313,16 @@ class CoolingPredictor:
             # Stacked humidity models (per row), per-candidate fan speeds,
             # and the transition/steady temperature model tensors for the
             # whole batch (each lane's stack is itself cached by key tuple).
-            hum_b0_first = np.concatenate([plan[9] for plan in plans])
-            hum_coef_first = np.concatenate([plan[10] for plan in plans])
-            hum_b0_steady = np.concatenate([plan[11] for plan in plans])
-            hum_coef_steady = np.concatenate([plan[12] for plan in plans])
-            fan_cands = np.concatenate([plan[1] for plan in plans])
+            hum_b0_first = np.concatenate([p.hum_b0_first for p in plans])
+            hum_coef_first = np.concatenate([p.hum_coef_first for p in plans])
+            hum_b0_steady = np.concatenate([p.hum_b0_steady for p in plans])
+            hum_coef_steady = np.concatenate([p.hum_coef_steady for p in plans])
+            fan_cands = np.concatenate([plan.fans for plan in plans])
             model_first = [
-                self.model.batched_vectorized(plan[5]) for plan in plans
+                self.model.batched_vectorized(plan.keys_first) for plan in plans
             ]
             model_steady = [
-                self.model.batched_vectorized(plan[6]) for plan in plans
+                self.model.batched_vectorized(plan.keys_steady) for plan in plans
             ]
             intercepts_first = np.concatenate([m[0] for m in model_first])
             coefs_first = np.concatenate([m[1] for m in model_first])
@@ -504,20 +335,14 @@ class CoolingPredictor:
             energies_per_lane: List[List[float]] = []
             ac_full_per_lane: List[List[bool]] = []
             for lane, state in enumerate(states):
-                duties = plans[lane][0]
+                duties = plans[lane].duties
                 energies: List[float] = []
                 ac_full_flags: List[bool] = []
                 for i, cmd in enumerate(commands_per_lane[lane]):
                     duty = duties[i]
                     power_w = self._predict_power(state.mode, cmd, duty)
-                    ac_full = (
-                        cmd.mode is CoolingMode.AC_ON and duty >= 1.0 - 1e-9
-                    ) or (
-                        cmd.mode in (CoolingMode.AC_ON, CoolingMode.AC_FAN)
-                        and cmd.ac_fan_speed >= 1.0 - 1e-9
-                    )
                     energies.append(power_w * horizon_s / 3.6e6)
-                    ac_full_flags.append(ac_full)
+                    ac_full_flags.append(_ac_at_full_speed(cmd, duty))
                 energies_per_lane.append(energies)
                 ac_full_per_lane.append(ac_full_flags)
 
@@ -702,26 +527,6 @@ class CoolingPredictor:
         return self.model.predict_temps_vector(
             regime_key(prev_mode, mode), features_matrix
         )
-
-    def _predict_temp(
-        self,
-        prev_mode: CoolingMode,
-        command: CoolingCommand,
-        duty: float,
-        sensor: int,
-        features: Sequence[float],
-    ) -> float:
-        mode = command.mode
-        if mode is CoolingMode.AC_ON and 0.0 < duty < 1.0:
-            # Variable-speed compressor: interpolate on/off models.
-            on = self.model.predict_temp(
-                regime_key(prev_mode, CoolingMode.AC_ON), sensor, features
-            )
-            off = self.model.predict_temp(
-                regime_key(prev_mode, CoolingMode.AC_FAN), sensor, features
-            )
-            return duty * on + (1.0 - duty) * off
-        return self.model.predict_temp(regime_key(prev_mode, mode), sensor, features)
 
     def _predict_humidity(
         self,

@@ -17,9 +17,9 @@ The rules, in order:
   the standard grid.
 * A non-empty fault schedule -> scalar: faults are per-lane, per-day
   mutable state the SoA batches do not model.
-* Everything else -> lanes.  Since the lane-vectorized cooling backends
-  landed, the plant no longer forces scalar: chiller, cooling_tower,
-  and hybrid cells ride lanes (and day-unfolding) bit-identically.
+* Everything else -> lanes.  The cooling plant is not an input: every
+  backend (parasol, chiller, cooling_tower, hybrid) has lane-vectorized
+  units and rides lanes (and day-unfolding) bit-identically.
 
 Day-unfolding additionally requires every sampled day to be provably
 independent of the days before it:
@@ -64,7 +64,6 @@ class EngineDecision:
 def decide_engine(
     system: Union[str, CoolAirConfig],
     engine: Optional[str] = None,
-    plant: str = "parasol",
     deferrable: bool = False,
 ) -> EngineDecision:
     """The single decision function for a cell's numeric path.
@@ -73,8 +72,7 @@ def decide_engine(
     :class:`CoolAirConfig`; ``engine`` is the *requested* engine
     (``None`` means "the default", which the caller resolves — this
     function treats ``None`` as ``"lanes"`` since only the lane request
-    has anything to decide).  ``plant`` participates in the signature
-    because it used to force scalar; it deliberately no longer does.
+    has anything to decide).
     """
     requested = engine or "lanes"
     if requested not in SIM_ENGINES:

@@ -23,8 +23,9 @@ rate to keep that guarantee cheap to audit:
   state and power draw, disk utilization — plus the management decisions
   themselves.  Baseline lanes decide through the vectorized
   :class:`LaneBaselineController`; CoolAir lanes share one cross-lane
-  :meth:`CoolingPredictor.predict_lanes` rollout and then reuse the
-  scalar :meth:`CoolingOptimizer.decide_from_predictions` selection code.
+  :meth:`CoolingPredictor.predict_lanes_stacked` rollout and then select
+  through :meth:`CoolingOptimizer.decide_from_stacked` — the same kernels
+  the scalar engine runs at width 1.
 
 * **Per-backend lane units (non-parasol plants):** the chiller, tower,
   and hybrid backends step as

@@ -1,11 +1,13 @@
-"""Batched prediction/scoring must equal the scalar reference, bit for bit.
+"""The lane kernels must equal the per-candidate reference, bit for bit.
 
-PR-2's fast control path (:meth:`CoolingPredictor.predict_batch`,
-:meth:`UtilityFunction.score_batch`, ``CoolingOptimizer(use_batched=True)``)
-is a pure performance refactor: every test here pins it to the sequential
-path with exact floating-point equality, across a deterministic spread of
-control-period states covering both hardware candidate sets, blended AC
-duties, and active-sensor restriction.
+Every CoolAir decision runs through
+:meth:`CoolingPredictor.predict_lanes_stacked` (one lane for the scalar
+engine, N for the lane engine) and :meth:`UtilityFunction.score_arrays`.
+They are a pure performance path: every test here pins them to the
+sequential ``predict`` / ``score`` reference with exact floating-point
+equality, across a deterministic spread of control-period states covering
+both hardware candidate sets, blended AC duties, and active-sensor
+restriction.
 """
 
 from __future__ import annotations
@@ -27,42 +29,42 @@ STEPS = 5
 BAND = TemperatureBand(25.0, 30.0)
 
 
-def assert_predictions_equal(batched, sequential):
-    assert len(batched) == len(sequential)
-    for got, want in zip(batched, sequential):
-        assert np.array_equal(got.sensor_temps_c, want.sensor_temps_c)
-        assert np.array_equal(got.rh_pct, want.rh_pct)
-        assert got.cooling_energy_kwh == want.cooling_energy_kwh
-        assert got.ac_at_full_speed == want.ac_at_full_speed
+def assert_lane_equals_sequential(lane, sequential):
+    temps, rh, energies, ac_full = lane
+    assert temps.shape[0] == len(sequential)
+    for i, want in enumerate(sequential):
+        assert np.array_equal(temps[i], want.sensor_temps_c)
+        assert np.array_equal(rh[i], want.rh_pct)
+        assert energies[i] == want.cooling_energy_kwh
+        assert ac_full[i] == want.ac_at_full_speed
 
 
-class TestPredictBatch:
-    def test_matches_sequential_predict_both_candidate_sets(self, cooling_model):
+class TestPredictLanesStacked:
+    def test_matches_sequential_predict_at_width_one_and_n(
+        self, cooling_model
+    ):
         predictor = CoolingPredictor(cooling_model)
-        for state in _decision_states(cooling_model, 12):
-            for commands in (
-                abrupt_candidates(),
-                smooth_candidates(current_fc_speed=state.fan_speed),
+        states = _decision_states(cooling_model, 12)
+        smooth = [smooth_candidates(s.fan_speed) for s in states]
+        for commands_per_lane in ([abrupt_candidates()] * len(states), smooth):
+            width_n = predictor.predict_lanes_stacked(
+                states, commands_per_lane, STEPS
+            )
+            for state, commands, lane in zip(
+                states, commands_per_lane, width_n
             ):
-                batched = predictor.predict_batch(state, commands, STEPS)
                 sequential = [
                     predictor.predict(state, command, STEPS)
                     for command in commands
                 ]
-                assert_predictions_equal(batched, sequential)
-
-    def test_batch_results_are_independent_copies(self, cooling_model):
-        predictor = CoolingPredictor(cooling_model)
-        state = _decision_states(cooling_model, 1)[0]
-        commands = abrupt_candidates()
-        batched = predictor.predict_batch(state, commands, STEPS)
-        # Mutating one prediction must not alias another (the batch rollout
-        # slices a shared trajectory array; each result must own its data).
-        batched[0].sensor_temps_c[:] = -99.0
-        assert not np.any(batched[1].sensor_temps_c == -99.0)
+                (width_one,) = predictor.predict_lanes_stacked(
+                    [state], [commands], STEPS
+                )
+                assert_lane_equals_sequential(width_one, sequential)
+                assert_lane_equals_sequential(lane, sequential)
 
 
-class TestScoreBatch:
+class TestScoreArrays:
     def test_matches_sequential_score(self, cooling_model):
         predictor = CoolingPredictor(cooling_model)
         config = all_nd()
@@ -70,9 +72,20 @@ class TestScoreBatch:
         horizon_s = float(config.control_period_s)
         for state in _decision_states(cooling_model, 8):
             commands = smooth_candidates(current_fc_speed=state.fan_speed)
-            predictions = predictor.predict_batch(state, commands, STEPS)
+            predictions = [
+                predictor.predict(state, command, STEPS)
+                for command in commands
+            ]
             current = list(state.sensor_temps_c)
-            batched = utility.score_batch(predictions, BAND, current, horizon_s)
+            batched = utility.score_arrays(
+                np.stack([p.sensor_temps_c for p in predictions]),
+                np.stack([p.rh_pct for p in predictions]),
+                np.array([p.cooling_energy_kwh for p in predictions]),
+                np.array([p.ac_at_full_speed for p in predictions]),
+                BAND,
+                current,
+                horizon_s,
+            )
             sequential = [
                 utility.score(p, BAND, current, horizon_s) for p in predictions
             ]
@@ -100,6 +113,23 @@ class TestOptimizerEquivalence:
             assert got == want
             assert batched.last_scores == reference.last_scores
 
+    def assert_lane_batch_scores_match(self, cooling_model, active):
+        """All states as lanes of one rollout, as the lane engine runs."""
+        lanes = self.make(cooling_model, smooth=True, use_batched=True)
+        reference = self.make(cooling_model, smooth=True, use_batched=False)
+        states = _decision_states(cooling_model, 10)
+        cands = [lanes._candidates(state, BAND) for state in states]
+        stacked = lanes.predictor.predict_lanes_stacked(
+            states, cands, lanes.config.steps_per_control_period
+        )
+        for state, candidates, arrays in zip(states, cands, stacked):
+            got = lanes.decide_from_stacked(
+                state, BAND, candidates, *arrays, active
+            )
+            want = reference.decide(state, BAND, active_sensor_indices=active)
+            assert got == want
+            assert lanes.last_scores == reference.last_scores
+
     def test_smooth_hardware(self, cooling_model):
         self.assert_same_decisions(cooling_model, smooth=True)
 
@@ -107,4 +137,13 @@ class TestOptimizerEquivalence:
         self.assert_same_decisions(cooling_model, smooth=False)
 
     def test_active_sensor_restriction(self, cooling_model):
-        self.assert_same_decisions(cooling_model, smooth=True, active=[0, 2])
+        num_sensors = cooling_model.num_sensors
+        subsets = (
+            [0, 2],
+            [0],
+            list(range(0, num_sensors, 2)),
+            list(range(num_sensors - 1)),
+        )
+        for active in subsets:
+            self.assert_same_decisions(cooling_model, smooth=True, active=active)
+            self.assert_lane_batch_scores_match(cooling_model, active)

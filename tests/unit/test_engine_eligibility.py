@@ -15,8 +15,6 @@ from repro.core.versions import ALL_VERSIONS
 from repro.faults import BUILTIN_SCENARIOS
 from repro.sim.eligibility import EngineDecision, decide_engine
 
-PLANTS = ("parasol", "chiller", "cooling_tower", "hybrid")
-
 
 def faulted_config():
     config = ALL_VERSIONS["All-ND"]()
@@ -50,13 +48,6 @@ class TestDecisionMatrix:
         assert decision.day_unfold is True
         assert decision.reason == ""
 
-    def test_every_plant_rides_lanes(self):
-        """The plant no longer changes the decision (PR 10)."""
-        for plant in PLANTS:
-            for system in ("baseline", ALL_VERSIONS["All-ND"]()):
-                decision = decide_engine(system, plant=plant)
-                assert decision == EngineDecision("lanes", True)
-
     def test_exotic_timing_falls_back_to_scalar(self):
         config = ALL_VERSIONS["All-ND"]()
         config.model_step_s = 60.0
@@ -74,13 +65,6 @@ class TestDecisionMatrix:
         assert decision.engine == "scalar"
         assert decision.day_unfold is False
         assert "fault" in decision.reason
-
-    def test_faulted_plant_cell_stays_scalar(self):
-        """Fault schedules beat the plant's lane eligibility."""
-        for plant in ("chiller", "cooling_tower", "hybrid"):
-            assert decide_engine(faulted_config(), plant=plant).engine == (
-                "scalar"
-            )
 
     def test_deferrable_rides_lanes_but_never_unfolds(self):
         decision = decide_engine("baseline", deferrable=True)
@@ -102,10 +86,9 @@ class TestExperimentsWrappersDelegate:
         for system in ("baseline", "All-ND", "All-DEF"):
             resolved, _ = experiments._resolve_system(system)
             for engine in ("lanes", "scalar"):
-                for plant in PLANTS:
-                    assert experiments.effective_engine(
-                        system, engine, plant=plant
-                    ) == decide_engine(resolved, engine, plant=plant).engine
+                assert experiments.effective_engine(
+                    system, engine
+                ) == decide_engine(resolved, engine).engine
 
     def test_day_unfold_eligible_matches_decision(self):
         for system in ("baseline", "All-ND", "All-DEF"):

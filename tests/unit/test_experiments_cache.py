@@ -159,13 +159,15 @@ class TestCacheVersioning:
         assert "-elanes-" in keys["chiller"]
 
     def test_non_parasol_plants_ride_the_lane_engine(self):
+        from repro.weather.locations import NEWARK
+
         for plant in ("parasol", "chiller", "cooling_tower", "hybrid"):
-            assert experiments.effective_engine(
-                "baseline", "lanes", plant=plant
-            ) == "lanes"
-        assert experiments.effective_engine(
-            "baseline", "scalar", plant="chiller"
-        ) == "scalar"
+            assert "-elanes" in experiments.cache_key(
+                "baseline", NEWARK, engine="lanes", plant=plant
+            )
+        assert "-escalar-" in experiments.cache_key(
+            "baseline", NEWARK, engine="scalar", plant="chiller"
+        )
 
     def test_exotic_timing_config_falls_back_to_scalar(self):
         from repro.core.versions import ALL_VERSIONS

@@ -312,6 +312,23 @@ class WorkerPool:
         if executor is not None:
             executor.shutdown(wait=wait, cancel_futures=True)
 
+    def terminate(self) -> None:
+        """Stop every worker now, running cells included, and reap them.
+
+        Queued work is cancelled; a cell a worker is running is lost (its
+        cache entry is written atomically, so it is simply missing).
+        """
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is None:
+            return
+        processes = list((executor._processes or {}).values())
+        executor.shutdown(wait=False, cancel_futures=True)
+        for process in processes:
+            process.terminate()
+        for process in processes:
+            process.join()
+
     def __enter__(self) -> "WorkerPool":
         return self
 

@@ -353,17 +353,20 @@ class LaneCoolingUnits:
     """Array counterpart of the :class:`CoolingUnits` backend protocol.
 
     One instance covers every lane of one backend inside a
-    :class:`~repro.sim.lanes.LaneRunner` batch.  Actuator state arrives
-    once per control period via :meth:`set_actuators` (gathered from the
-    per-lane scalar units, whose ramp/latch dynamics stay
-    authoritative), the weather boundary once per model step via
-    :meth:`observe_boundary`, and :meth:`step_resources` returns
-    per-lane ``(power_w, water_l)`` arrays pinned bit-identical to the
-    scalar :meth:`CoolingUnits.step_resources` chain
-    (tests/unit/test_lane_backends.py).
+    :class:`~repro.sim.lanes.LaneRunner` batch, and each input arrives at
+    the rate it changes.  The raw weather boundary arrives once per day
+    via :meth:`observe_boundary`, as ``(steps, lanes)`` grids (one row per
+    model step; a single ``(lanes,)`` row works too).  Actuator state
+    arrives once per control period via :meth:`set_actuators`, gathered
+    from the per-lane scalar units, whose ramp/latch dynamics stay
+    authoritative.  :meth:`effective_duty` and :meth:`step_resources`
+    then answer for a whole period's block of boundary rows at once.
+    Every value is pinned bit-identical, element by element, to the
+    scalar ``plant_inputs`` / :meth:`CoolingUnits.step_resources` chain
+    at that row's weather (tests/unit/test_lane_backends.py).
     """
 
-    #: the thermal plant needs a capacity-scaled duty refresh every step
+    #: the thermal plant sees a capacity-scaled duty that follows the weather
     scales_duty = False
 
     def __init__(self, num_lanes: int) -> None:
@@ -374,16 +377,11 @@ class LaneCoolingUnits:
         self._ac_fan = np.zeros(num_lanes)
         self._duty = np.zeros(num_lanes)
         self._static_power = np.zeros(num_lanes)
-        self._no_water = np.zeros(num_lanes)
 
     def observe_boundary(
-        self,
-        outside_temp_c: np.ndarray,
-        outside_rh_pct: np.ndarray,
-        wet_bulb: Optional[np.ndarray] = None,
+        self, outside_temp_c: np.ndarray, outside_rh_pct: np.ndarray
     ) -> None:
-        """Record the raw per-lane weather (``wet_bulb`` may be supplied
-        precomputed from :func:`wet_bulb_c_array` over a whole day grid)."""
+        """Record the raw weather: ``(steps, lanes)`` grids or one row."""
         self.outside_temp_c = np.asarray(outside_temp_c, dtype=float)
         self.outside_rh_pct = np.asarray(outside_rh_pct, dtype=float)
 
@@ -399,15 +397,22 @@ class LaneCoolingUnits:
         self._ac_fan = ac_fan_speed
         self._duty = ac_compressor_duty
 
-    def effective_duty(self) -> np.ndarray:
-        """The compressor duty the thermal plant sees this step (the
-        array mirror of ``plant_inputs().ac_compressor_duty``)."""
+    def effective_duty(self, steps: slice = slice(None)) -> np.ndarray:
+        """The compressor duty the thermal plant sees at boundary rows
+        ``steps`` (the array mirror of
+        ``plant_inputs().ac_compressor_duty``); per lane when the duty
+        does not follow the weather."""
         return self._duty
 
     def step_resources(
-        self, it_power_w: np.ndarray, dt_s: float
+        self, it_power_w: np.ndarray, dt_s: float, steps: slice = slice(None)
     ) -> Tuple[np.ndarray, np.ndarray]:
-        return self._static_power, self._no_water
+        """Per-step ``(power_w, water_l)`` over boundary rows ``steps``.
+
+        Either array may come back per lane when it does not vary within
+        the block; it broadcasts against the block's rows.
+        """
+        return self._static_power, np.zeros(self.num_lanes)
 
 
 class LaneChillerUnits(LaneCoolingUnits):
@@ -420,11 +425,11 @@ class LaneChillerUnits(LaneCoolingUnits):
             SmoothCoolingUnits.AC_FAN_FULL_W * ac_fan_speed
         )
 
-    def step_resources(self, it_power_w, dt_s):
+    def step_resources(self, it_power_w, dt_s, steps=slice(None)):
         power = self._static_power + chiller_power_w_array(
-            self._duty, self.outside_temp_c
+            self._duty, self.outside_temp_c[steps]
         )
-        return power, self._no_water
+        return power, np.zeros(self.num_lanes)
 
 
 class LaneCoolingTowerUnits(LaneCoolingUnits):
@@ -439,13 +444,13 @@ class LaneCoolingTowerUnits(LaneCoolingUnits):
             wet_bulb_c_array(self.outside_temp_c, self.outside_rh_pct)
         )
 
-    def observe_boundary(self, outside_temp_c, outside_rh_pct, wet_bulb=None):
+    def observe_boundary(self, outside_temp_c, outside_rh_pct):
+        # One Stull evaluation over the whole boundary grid (a day of
+        # model steps) instead of one per step.
         super().observe_boundary(outside_temp_c, outside_rh_pct)
-        if wet_bulb is None:
-            wet_bulb = wet_bulb_c_array(
-                self.outside_temp_c, self.outside_rh_pct
-            )
-        self._capacity = tower_capacity_factor_array(wet_bulb)
+        self._capacity = tower_capacity_factor_array(
+            wet_bulb_c_array(self.outside_temp_c, self.outside_rh_pct)
+        )
 
     def set_actuators(self, fc_fan_speed, ac_fan_speed, ac_compressor_duty,
                       regimes=None):
@@ -455,11 +460,14 @@ class LaneCoolingTowerUnits(LaneCoolingUnits):
             + _tower_power_elementwise(ac_compressor_duty)
         )
 
-    def effective_duty(self):
-        return self._duty * self._capacity
+    def effective_duty(self, steps=slice(None)):
+        if not self._duty.any():
+            # Zero duty stays zero at any capacity: one row serves all.
+            return self._duty
+        return self._duty * self._capacity[steps]
 
-    def step_resources(self, it_power_w, dt_s):
-        delivered = self._duty * self._capacity
+    def step_resources(self, it_power_w, dt_s, steps=slice(None)):
+        delivered = self._duty * self._capacity[steps]
         heat_rejected_w = delivered * constants.MECH_COOLING_CAPACITY_W
         return self._static_power, tower_water_l_array(heat_rejected_w, dt_s)
 
@@ -491,19 +499,22 @@ class LaneHybridUnits(LaneCoolingTowerUnits):
             )
         self._static_power = static
 
-    def effective_duty(self):
+    def effective_duty(self, steps=slice(None)):
+        if not self._tower_mask.any():
+            # Only the tower regime scales: one row serves the block.
+            return self._duty
         return np.where(
-            self._tower_mask, self._duty * self._capacity, self._duty
+            self._tower_mask, self._duty * self._capacity[steps], self._duty
         )
 
-    def step_resources(self, it_power_w, dt_s):
+    def step_resources(self, it_power_w, dt_s, steps=slice(None)):
         power = np.where(
             self._tower_mask,
             self._static_power,
             self._static_power
-            + chiller_power_w_array(self._duty, self.outside_temp_c),
+            + chiller_power_w_array(self._duty, self.outside_temp_c[steps]),
         )
-        delivered = self._duty * self._capacity
+        delivered = self._duty * self._capacity[steps]
         heat_rejected_w = delivered * constants.MECH_COOLING_CAPACITY_W
         water = np.where(
             self._tower_mask, tower_water_l_array(heat_rejected_w, dt_s), 0.0

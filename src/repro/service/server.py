@@ -31,6 +31,7 @@ import asyncio
 import logging
 import os
 import pathlib
+import signal
 import threading
 from typing import Optional
 
@@ -186,7 +187,8 @@ class CampaignService:
             self._server = None
         if self._socket_path is not None and self._socket_path.exists():
             self._socket_path.unlink()
-        self.pool.shutdown(wait=False)
+        # No worker outlives the service: a cell still running is lost.
+        self.pool.terminate()
 
     # -- request handling ----------------------------------------------------
 
@@ -303,6 +305,11 @@ class CampaignService:
 
 async def _run_service(service: CampaignService, **bind_kwargs) -> None:
     address = await service.start(**bind_kwargs)
+    # SIGTERM and SIGINT take the ``shutdown`` request's stop path, so the
+    # pool's workers are reaped instead of orphaned.
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        loop.add_signal_handler(signum, service._stop.set)
     print(f"campaign service listening on {address}", flush=True)
     await service.serve_forever()
 
@@ -323,6 +330,10 @@ def serve(
         )
     except KeyboardInterrupt:
         pass
+    finally:
+        # An interrupt before the handlers are in place, or an error,
+        # still leaves no worker behind.
+        service.pool.terminate()
     return 0
 
 

@@ -38,7 +38,11 @@ from repro.weather.forecast import ForecastService
 from repro.weather.tmy import TMYSeries
 from repro.workload.covering import covering_subset
 from repro.workload.hadoop import HadoopCluster
-from repro.workload.profile import DemandProfile, build_demand_profile
+from repro.workload.profile import (
+    DemandProfile,
+    build_demand_profile,
+    initial_demand_profile,
+)
 from repro.workload.traces import Trace
 
 
@@ -135,16 +139,14 @@ class ProfileWorkload:
         self.trace = trace
         self.layout = layout
         self.interval_s = interval_s
-        # ``profile`` lets callers that run many workloads over copies of
-        # one trace (the lane engine) share the initial fluid-model build;
-        # it must equal ``build_demand_profile`` of the same arguments.
-        # ``rebuild`` always recomputes from this instance's own trace.
+        # ``profile`` lets callers that run over a private copy of a trace
+        # share the source trace's initial fluid-model build; it must equal
+        # ``build_demand_profile`` of the same arguments.  ``rebuild``
+        # always recomputes from this instance's own trace.
         self.profile: DemandProfile = (
             profile
             if profile is not None
-            else build_demand_profile(
-                trace, num_servers=layout.num_servers, interval_s=interval_s
-            )
+            else initial_demand_profile(trace, layout.num_servers, interval_s)
         )
         self._servers: Optional[List[Server]] = None
 

@@ -4,36 +4,51 @@ A :class:`LaneRunner` advances N independent year scenarios — each the
 exact (climate, management system, workload) combination a scalar
 :class:`~repro.sim.engine.DayRunner` would simulate — as *lanes* of
 structure-of-arrays state.  One vectorized call per model step advances
-every lane's thermal plant, weather lookup, sensor quantization, and disk
-model; per-lane branching (TKS mode latches, regime changes, band
-differences) is handled with boolean masks and per-lane decision objects.
+every lane's thermal plant and inlet sensors; per-lane branching (TKS
+mode latches, regime changes, band differences) is handled with boolean
+masks and per-lane decision objects.
 
 Bit-identity contract: ``run_year_lanes(scenarios)[i]`` equals
-``run_year(scenarios[i]...)`` field for field.  The design splits work by
-rate to keep that guarantee cheap to audit:
+``run_year(scenarios[i]...)`` field for field.  :meth:`LaneRunner.run_day`
+does each piece of work at the rate its inputs change, which keeps that
+guarantee cheap to audit:
 
-* **Per model step (720/day, vectorized):** :class:`LaneThermalPlant`
-  stepping, :class:`LaneWeather` grid reads, sensor quantization
+* **Once per day (inputs: the weather grid).**  :class:`LaneWeather`
+  gathers the ``(lanes, steps)`` weather grids; the outside temperature
+  and RH sensor readings are quantized over the whole grid
   (``np.floor(x/res + 0.5)`` is the elementwise mirror of the scalar
-  sensors' half-up quantization), cold-aisle RH,
-  :class:`LaneDiskModel`, and metric recording.
-* **Per control period (144/day, per-lane scalars):** everything the
-  scalar engine computes from quantities that the :class:`ProfileWorkload`
-  holds constant between control epochs — pod IT powers, unit actuator
-  state and power draw, disk utilization — plus the management decisions
-  themselves.  Baseline lanes decide through the vectorized
+  sensors' half-up quantization); the non-parasol backends' lane units
+  observe the grids, and the tower evaluates its wet-bulb capacity over
+  all of it.
+* **Once per control period (144/day; inputs: actuators, pod powers,
+  the demand interval).**  The epoch's sensor view (inlet readings from
+  the step before, cold-aisle RH from the current plant state) and the
+  management decisions: baseline lanes decide through the vectorized
   :class:`LaneBaselineController`; CoolAir lanes share one cross-lane
   :meth:`CoolingPredictor.predict_lanes_stacked` rollout and then select
-  through :meth:`CoolingOptimizer.decide_from_stacked` — the same kernels
-  the scalar engine runs at width 1.
+  through :meth:`CoolingOptimizer.decide_from_stacked` — the same
+  kernels the scalar engine runs at width 1.  Then everything the
+  scalar engine computes from quantities the :class:`ProfileWorkload`
+  holds constant within the period: pod IT powers, unit actuator state
+  and power draw, disk utilization.  From those, ``(k steps × lanes)``
+  blocks, each in one call: the effective compressor duty, the
+  :class:`LaneThermalPlant` invariants (stepped with row ``j``), and
+  backend power and water.  Records constant within the period are
+  written as slices.
+* **Once per model step (720/day plus warmup; inputs: the plant
+  state).**  The plant's four substeps and the quantized inlet readings.
+  The per-step cold-aisle RH record and :class:`LaneDiskModel` run only
+  when ``keep_traces`` asks for them.
 
-* **Per-backend lane units (non-parasol plants):** the chiller, tower,
-  and hybrid backends step as
-  :class:`~repro.cooling.backends.LaneCoolingUnits` arrays — actuator
-  state gathered per control period from the per-lane scalar units
-  (whose ramp/latch/regime dynamics stay authoritative), weather-coupled
-  power and water evaluated per model step.  See
-  :mod:`repro.sim.eligibility` for which cells ride lanes.
+Every moved operation is elementwise IEEE arithmetic or an existing
+element-by-element ``math`` wrapper, so a block evaluation performs the
+same operations on the same operands as the per-step one.
+
+The chiller, tower, and hybrid backends step as
+:class:`~repro.cooling.backends.LaneCoolingUnits` arrays — actuator state
+gathered per control period from the per-lane scalar units (whose
+ramp/latch/regime dynamics stay authoritative).  See
+:mod:`repro.sim.eligibility` for which cells ride lanes.
 
 Restrictions (asserted): no process noise, the standard 120 s model step /
 600 s control period, and the profile (not task-level Hadoop) workload.
@@ -41,7 +56,6 @@ Restrictions (asserted): no process noise, the standard 120 s model step /
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -71,14 +85,11 @@ from repro.core.predictor import CoolingPredictor, PredictorState
 from repro.datacenter.layout import DatacenterLayout, parasol_layout
 from repro.datacenter.server import PowerState
 from repro.errors import ConfigError, SimulationError
-from repro.physics.psychrometrics import (
-    absolute_to_relative_humidity_array,
-    wet_bulb_c_array,
-)
+from repro.physics.psychrometrics import absolute_to_relative_humidity_array
 from repro.physics.thermal import LaneDiskModel, LaneThermalPlant
 from repro.sim.campaign import trained_cooling_model
 from repro.sim.engine import ProfileWorkload
-from repro.workload.profile import DemandProfile
+from repro.workload.profile import initial_demand_profile
 from repro.sim.trace import (
     DayTrace,
     StepRecord,
@@ -88,7 +99,7 @@ from repro.sim.trace import (
     outside_range_from,
     worst_sensor_range_from,
 )
-from repro.sim.yearsim import YearResult, sampled_days
+from repro.sim.yearsim import YearResult, run_trace, sampled_days
 from repro.weather.climate import Climate, SECONDS_PER_DAY
 from repro.weather.forecast import ForecastService
 from repro.artifacts import tmy_series
@@ -123,18 +134,6 @@ def _quantize_rh(true_pct: np.ndarray) -> np.ndarray:
     return np.floor(clamped / _RH_RES + 0.5) * _RH_RES
 
 
-def _copy_trace(trace: Trace) -> Trace:
-    """A private per-lane copy of a trace, cheaper than ``copy.deepcopy``.
-
-    Job fields are immutable scalars, so shallow job copies give each lane
-    an independent trace (the temporal scheduler mutates
-    ``scheduled_start_s`` per lane).
-    """
-    clone = copy.copy(trace)
-    clone.jobs = [copy.copy(job) for job in trace.jobs]
-    return clone
-
-
 def _command_for_code(code: int, fc_speed: float) -> CoolingCommand:
     """A lane controller's integer decision as a scalar CoolingCommand."""
     if code == LANE_CMD_CLOSED:
@@ -165,7 +164,7 @@ class LaneScenario:
 class _PlantGroup:
     """The lanes of one non-parasol backend inside a batch."""
 
-    __slots__ = ("plant", "indices", "lunits", "needs_wet_bulb", "wb_grid")
+    __slots__ = ("plant", "indices", "lunits")
 
     def __init__(
         self, plant: str, indices: np.ndarray, lunits: LaneCoolingUnits
@@ -173,10 +172,6 @@ class _PlantGroup:
         self.plant = plant
         self.indices = indices
         self.lunits = lunits
-        # Duty-scaling backends (tower, hybrid) read the wet bulb every
-        # step; run_day precomputes it over the whole day grid.
-        self.needs_wet_bulb = lunits.scales_duty
-        self.wb_grid: Optional[np.ndarray] = None
 
 
 class _Lane:
@@ -231,7 +226,6 @@ class LaneRunner:
         self.model = model
 
         series_by_climate: Dict[Climate, TMYSeries] = {}
-        shared_profiles: Dict[tuple, DemandProfile] = {}
         series_list: List[TMYSeries] = []
         self.lanes: List[_Lane] = []
         baseline_indices: List[int] = []
@@ -253,19 +247,18 @@ class LaneRunner:
 
             layout = parasol_layout()
             covering_subset(layout.all_servers())
-            trace = _copy_trace(scenario.trace)
-            # Lanes sharing a source trace get equal initial profiles (the
-            # fluid model is deterministic in the job values, which the
-            # copy preserves) — build once per distinct trace.  Each lane
-            # keeps its own workload/trace; a per-lane ``rebuild()`` after
+            # Lanes stepping one source trace share its initial profile
+            # (the fluid model is deterministic in the job values, which a
+            # private copy preserves).  A per-lane ``rebuild()`` after
             # temporal scheduling replaces only that lane's profile.
-            profile_key = (id(scenario.trace), layout.num_servers)
-            profile = shared_profiles.get(profile_key)
             workload = ProfileWorkload(
-                trace, layout, float(CONTROL_PERIOD_S), profile=profile
+                run_trace(system, scenario.trace),
+                layout,
+                float(CONTROL_PERIOD_S),
+                profile=initial_demand_profile(
+                    scenario.trace, layout.num_servers, float(CONTROL_PERIOD_S)
+                ),
             )
-            if profile is None:
-                shared_profiles[profile_key] = workload.profile
 
             backend = get_backend(scenario.plant)
             if is_baseline:
@@ -362,15 +355,14 @@ class LaneRunner:
             else None
         )
 
-        # Sensor + history arrays (the scalar engine's sensors and
-        # _prev_* attributes as lanes-first arrays).
+        # The sensors as the current control epoch sees them (the scalar
+        # engine's sensors and _prev_* attributes as lanes-first arrays),
+        # set by run_day before each decision.
         self._readings = np.zeros((num, pods))
         self._prev_readings = np.zeros((num, pods))
         self._outside_read = np.zeros(num)
         self._prev_outside = np.zeros(num)
-        self._cold_rh = np.zeros(num)
         self._outside_rh_read = np.zeros(num)
-        self._prev_fan = np.zeros(num)
         # Per-control-period caches (constant between control epochs).
         self._fc = np.zeros(num)
         self._ac_fan = np.zeros(num)
@@ -382,9 +374,8 @@ class LaneRunner:
         self._util = np.zeros(num)
         self._disk_util = np.zeros(num)
         self._modes: List = [None] * num
-        # Per-step plant resources (non-parasol lanes) and the hybrid
-        # regime, refreshed per control period from the scalar units.
-        self._water_step = np.zeros(num)
+        # The hybrid regime, refreshed per control period from the scalar
+        # units.
         self._regime_code = np.zeros(num, dtype=np.int8)
         self._regime_str: List[str] = [""] * num
         # Active-server count / utilization, recomputed only when the
@@ -402,6 +393,17 @@ class LaneRunner:
         ]
 
     # -- per-epoch pieces ----------------------------------------------------
+
+    def _cold_aisle_rh(self) -> np.ndarray:
+        """The cold-aisle humidity sensors' reading of the current state."""
+        state = self._plant.state
+        inlets = state.pod_inlet_temp_c
+        means = np.add.reduce(inlets, axis=1) / inlets.shape[1]
+        return _quantize_rh(
+            absolute_to_relative_humidity_array(
+                state.cold_aisle_mixing_ratio, means
+            )
+        )
 
     def _control(
         self,
@@ -434,7 +436,8 @@ class LaneRunner:
             codes, speeds = self._baseline_ctrl.decide(
                 self._readings[bi, self._baseline_pods],
                 self._outside_read[bi],
-                self._cold_rh[bi],
+                # The current state is the one after the previous step.
+                self._cold_aisle_rh()[bi],
                 self._outside_rh_read[bi],
             )
             for slot, lane_index in enumerate(bi):
@@ -470,7 +473,9 @@ class LaneRunner:
                     prev_sensor_temps_c=self._prev_readings[lane_index].tolist(),
                     outside_temp_c=float(self._outside_read[lane_index]),
                     prev_outside_temp_c=float(self._prev_outside[lane_index]),
-                    prev_fan_speed=float(self._prev_fan[lane_index]),
+                    # Refreshed after the decision: still the fan of the
+                    # step before this epoch.
+                    prev_fan_speed=float(self._fan[lane_index]),
                     utilization=util,
                     inside_mixing_ratio=float(inside_w[lane_index]),
                     outside_mixing_ratio=float(mix_grid[lane_index, grid_col]),
@@ -493,13 +498,66 @@ class LaneRunner:
                 )
                 lane.units.apply(command)
 
-    def _refresh_period_caches(self, step: int, dt: float) -> None:
+    def _disk_utilization(
+        self, lane_index: int, step: int, tod: float
+    ) -> float:
+        """A lane's representative disk utilization this period.
+
+        The scalar engine averages the utilizations of the active servers;
+        ProfileWorkload gives every active server the same value, so the
+        mean is a pure function of (value, count) — cache it instead of
+        walking 64 servers per lane per epoch.
+        """
+        lane = self.lanes[lane_index]
+        count = self._active_count[lane_index]
+        if count:
+            workload = lane.workload
+            idx = (
+                int((tod if step >= 0 else 0.0) // workload.interval_s)
+                % workload.profile.num_intervals
+            )
+            util_cache = self._server_util_cache[lane_index]
+            util_value = util_cache.get(idx)
+            if util_value is None:
+                # DemandProfile.server_utilization recomputes the
+                # demanded-servers array on every call; the day-start
+                # snapshot holds exactly those values, so evaluate the
+                # same formula against it.
+                profile = workload.profile
+                demanded = int(self._demanded_arr[lane_index][idx])
+                if demanded == 0:
+                    util_value = 0.0
+                else:
+                    busy_slots = (
+                        profile.busy_slot_seconds[idx] / profile.interval_s
+                    )
+                    util_value = float(
+                        min(
+                            1.0,
+                            busy_slots
+                            / (demanded * profile.slots_per_server),
+                        )
+                    )
+                util_cache[idx] = util_value
+            cache_key = (util_value, count)
+            per_active = self._per_active_cache.get(cache_key)
+            if per_active is None:
+                per_active = float(np.mean(np.full(count, util_value)))
+                self._per_active_cache[cache_key] = per_active
+        else:
+            per_active = 0.0
+        return min(1.0, 0.15 + 0.7 * per_active)
+
+    def _refresh_period_caches(
+        self, step: int, dt: float, disks: bool
+    ) -> None:
         """Workload utilization + everything constant within the period.
 
         The scalar engine recomputes these every model step; with the
         profile workload they only change at control epochs (the demand
         interval equals the control period), so computing them here once
-        per period is exactly equivalent.
+        per period is exactly equivalent.  The disk utilization feeds only
+        the disk model, which steps only when ``disks`` (keep_traces).
         """
         tod = step * dt
         for lane_index, lane in enumerate(self.lanes):
@@ -518,9 +576,10 @@ class LaneRunner:
             self._ac_fan[lane_index] = units.ac_fan_speed
             self._duty[lane_index] = units.ac_compressor_duty
             if self._is_plant_lane[lane_index]:
-                # Weather-coupled power is stepped per model step by the
-                # lane units; record the hybrid's regime pick (constant
-                # within the period) for occupancy metrics and traces.
+                # Weather-coupled power comes per model step from the lane
+                # units' period block; record the hybrid's regime pick
+                # (constant within the period) for occupancy metrics and
+                # traces.
                 regime = getattr(units, "active_regime", "")
                 self._regime_str[lane_index] = regime
                 self._regime_code[lane_index] = LANE_REGIME_CODES.get(
@@ -531,55 +590,10 @@ class LaneRunner:
             self._fan[lane_index] = units.fc_fan_speed
             self._util[lane_index] = self._util_cache[lane_index]
             self._modes[lane_index] = lane.units.mode
-            # The scalar engine averages the utilizations of the active
-            # servers; ProfileWorkload gives every active server the same
-            # value, so the mean is a pure function of (value, count) —
-            # cache it instead of walking 64 servers per lane per epoch.
-            count = self._active_count[lane_index]
-            if count:
-                workload = lane.workload
-                idx = (
-                    int((tod if step >= 0 else 0.0) // workload.interval_s)
-                    % workload.profile.num_intervals
+            if disks:
+                self._disk_util[lane_index] = self._disk_utilization(
+                    lane_index, step, tod
                 )
-                util_cache = self._server_util_cache[lane_index]
-                util_value = util_cache.get(idx)
-                if util_value is None:
-                    # DemandProfile.server_utilization recomputes the
-                    # demanded-servers array on every call; the day-start
-                    # snapshot holds exactly those values, so evaluate the
-                    # same formula against it.
-                    profile = workload.profile
-                    demanded = int(self._demanded_arr[lane_index][idx])
-                    if demanded == 0:
-                        util_value = 0.0
-                    else:
-                        busy_slots = (
-                            profile.busy_slot_seconds[idx] / profile.interval_s
-                        )
-                        util_value = float(
-                            min(
-                                1.0,
-                                busy_slots
-                                / (demanded * profile.slots_per_server),
-                            )
-                        )
-                    util_cache[idx] = util_value
-                cache_key = (util_value, count)
-                per_active = self._per_active_cache.get(cache_key)
-                if per_active is None:
-                    per_active = float(np.mean(np.full(count, util_value)))
-                    self._per_active_cache[cache_key] = per_active
-            else:
-                per_active = 0.0
-            self._disk_util[lane_index] = min(1.0, 0.15 + 0.7 * per_active)
-        # Actuators and pod powers only change here; precompute the plant's
-        # per-period invariants once (validates the actuator ranges too).
-        # Duty-scaling backends re-issue set_inputs per step with their
-        # capacity-scaled duty, reusing this call's cached power fold.
-        self._plant.set_inputs(
-            self._fc, self._ac_fan, self._duty, self._pod_powers
-        )
         for group in self._plant_groups:
             idx = group.indices
             group.lunits.set_actuators(
@@ -625,13 +639,17 @@ class LaneRunner:
         temps_grid, mix_grid, rh_grid = self._weather.day_grid(
             grid_days, -warmup_steps, warmup_steps + steps
         )
+        # -- once per day: everything that depends on the weather only.
+        # The sensors' view of the outside (row c of the grids is model
+        # step c - warmup_steps).
+        outside_q = _quantize_temp(temps_grid)
+        outside_rh_q = _quantize_rh(rh_grid)
         for group in self._plant_groups:
-            if group.needs_wet_bulb:
-                # One bit-identical Stull evaluation over the whole day
-                # grid instead of one per model step.
-                group.wb_grid = wet_bulb_c_array(
-                    temps_grid[group.indices], rh_grid[group.indices]
-                )
+            idx = group.indices
+            group.lunits.observe_boundary(
+                np.ascontiguousarray(temps_grid[idx].T),
+                np.ascontiguousarray(rh_grid[idx].T),
+            )
 
         # Day entry is a clean slate (mirrors DayRunner.run_day): actuators
         # off, controller latches cleared, disks at their initial
@@ -642,29 +660,17 @@ class LaneRunner:
         self._disks.reset()
         if self._baseline_ctrl is not None:
             self._baseline_ctrl.reset()
-        for lane in self.lanes:
+        for lane_index, lane in enumerate(self.lanes):
             lane.units.reset()
             if lane.coolair is not None:
                 lane.coolair.reset_day_state()
+            # The predictor's "previous fan speed" before the first step
+            # (DayRunner._seed_sensors); each period's refresh replaces it.
+            self._fan[lane_index] = lane.units.fc_fan_speed
 
         self._plant.reset(
             temps_grid[:, warmup_steps] + 6.0, mix_grid[:, warmup_steps]
         )
-
-        # Seed sensors at the warmup start (DayRunner._seed_sensors).
-        state = self._plant.state
-        inlets = state.pod_inlet_temp_c
-        inside_rh = absolute_to_relative_humidity_array(
-            state.cold_aisle_mixing_ratio, inlets.mean(axis=1)
-        )
-        self._readings[:] = _quantize_temp(inlets)
-        self._cold_rh[:] = _quantize_rh(inside_rh)
-        self._outside_read[:] = _quantize_temp(temps_grid[:, 0])
-        self._outside_rh_read[:] = _quantize_rh(rh_grid[:, 0])
-        self._prev_readings[:] = self._readings
-        self._prev_outside[:] = self._outside_read
-        for lane_index, lane in enumerate(self.lanes):
-            self._prev_fan[lane_index] = lane.units.fc_fan_speed
 
         # Adapter start-of-day work.
         for lane_index, lane in enumerate(self.lanes):
@@ -672,13 +678,6 @@ class LaneRunner:
                 for server in lane.layout.all_servers():
                     if server.state is not PowerState.ACTIVE:
                         server.activate()
-                # All-active until the next day start (the baseline never
-                # sleeps servers); mirror layout.utilization()'s int sum.
-                count = 0
-                for pod in lane.layout.pods:
-                    count += pod.num_active()
-                self._active_count[lane_index] = count
-                self._util_cache[lane_index] = count / lane.layout.num_servers
             else:
                 lane.workload.begin_day()
                 lane.coolair.start_day(
@@ -689,6 +688,14 @@ class LaneRunner:
                     for job in lane.workload.jobs
                 ):
                     lane.workload.rebuild()
+            # The active set as the day enters: the baseline keeps it
+            # all-active until the next day start, and CoolAir's first
+            # plan_compute replaces it (layout.utilization()'s int sum).
+            count = 0
+            for pod in lane.layout.pods:
+                count += pod.num_active()
+            self._active_count[lane_index] = count
+            self._util_cache[lane_index] = count / lane.layout.num_servers
             # The demand profile is now fixed until the next day start;
             # snapshot the demanded-servers array and reset the per-interval
             # server-utilization cache.
@@ -697,8 +704,12 @@ class LaneRunner:
             )
             self._server_util_cache[lane_index].clear()
 
-        rec_temps = np.empty((steps, num, self.num_pods))
-        rec_outside = np.empty((steps, num))
+        # Quantized inlet readings: row 0 is the warmup-start seed
+        # (DayRunner._seed_sensors), row c + 1 the reading after grid
+        # column c's model step.
+        cols = warmup_steps + steps
+        readings = np.empty((cols + 1, num, self.num_pods))
+        readings[0] = _quantize_temp(self._plant.state.pod_inlet_temp_c)
         rec_cooling = np.empty((steps, num))
         rec_it = np.empty((steps, num))
         if self._plant_groups:
@@ -706,7 +717,6 @@ class LaneRunner:
             rec_regime = np.zeros((steps, num), dtype=np.int8)
         if keep_traces:
             rec_rh = np.empty((steps, num))
-            rec_orh = np.empty((steps, num))
             rec_fan = np.empty((steps, num))
             rec_duty = np.empty((steps, num))
             rec_util = np.empty((steps, num))
@@ -714,104 +724,90 @@ class LaneRunner:
             rec_modes: List[list] = [[] for _ in range(num)]
             rec_regimes: List[List[str]] = [[] for _ in range(num)]
 
+        # Control periods: each starts at a control epoch, except a
+        # leading partial period when the warmup is not a whole number of
+        # periods (the scalar engine steps it with reset units and no
+        # decision).
         spc = self._steps_per_control
-        for step in range(-warmup_steps, steps):
-            grid_col = step + warmup_steps
-            if step % spc == 0:
-                self._control(step, grid_col, temps_grid, rh_grid, mix_grid)
-                self._refresh_period_caches(step, dt)
-
-            # Rotate predictor history (DayRunner._advance_plant prologue).
-            self._prev_readings, self._readings = (
-                self._readings,
-                self._prev_readings,
+        first = -warmup_steps
+        epochs = range(first + (-first) % spc, steps, spc)
+        starts = ([first] if first % spc else []) + list(epochs)
+        for p0, p1 in zip(starts, starts[1:] + [steps]):
+            c0 = p0 + warmup_steps
+            if p0 % spc == 0:
+                # -- once per control period: the sensors as the epoch
+                # sees them (after the previous step), then the decision.
+                self._readings = readings[c0]
+                self._prev_readings = readings[max(c0 - 1, 0)]
+                self._outside_read = outside_q[:, max(c0 - 1, 0)]
+                self._prev_outside = outside_q[:, max(c0 - 2, 0)]
+                self._outside_rh_read = outside_rh_q[:, max(c0 - 1, 0)]
+                self._control(p0, c0, temps_grid, rh_grid, mix_grid)
+            self._refresh_period_caches(p0, dt, disks=keep_traces)
+            rows = slice(c0, p1 + warmup_steps)
+            duty = self._duty
+            if self._scaling_plants:
+                blocks = [
+                    (group.indices, group.lunits.effective_duty(rows))
+                    for group in self._plant_groups
+                    if group.lunits.scales_duty
+                ]
+                if any(block.ndim == 2 for _, block in blocks):
+                    duty = np.repeat(duty[None, :], p1 - p0, axis=0)
+                    for idx, block in blocks:
+                        duty[:, idx] = block
+            # Actuators and pod powers only change here; precompute the
+            # plant's invariants once (validates the actuator ranges too).
+            self._plant.set_inputs(
+                self._fc, self._ac_fan, duty, self._pod_powers
             )
-            self._prev_outside[:] = self._outside_read
-            self._prev_fan[:] = self._fan
-
-            if self._plant_groups:
-                # Mirror of the scalar _advance_plant prologue: boundary
-                # before plant_inputs, so the weather-coupled backends
-                # shape this step's inputs from this step's raw weather.
+            r0 = max(p0, 0)
+            if p1 > r0:
+                # Records constant within the period, written as slices.
+                rec_cooling[r0:p1] = self._cooling_power
+                rec_it[r0:p1] = self._it_power
+                rec_rows = slice(r0 + warmup_steps, p1 + warmup_steps)
                 for group in self._plant_groups:
                     idx = group.indices
-                    group.lunits.observe_boundary(
-                        temps_grid[idx, grid_col],
-                        rh_grid[idx, grid_col],
-                        wet_bulb=(
-                            group.wb_grid[:, grid_col]
-                            if group.wb_grid is not None
-                            else None
-                        ),
+                    power, water = group.lunits.step_resources(
+                        self._it_power[idx], dt, rec_rows
                     )
-                if self._scaling_plants:
-                    eff_duty = self._duty.copy()
-                    for group in self._plant_groups:
-                        if group.lunits.scales_duty:
-                            eff_duty[group.indices] = (
-                                group.lunits.effective_duty()
-                            )
-                    self._plant.set_inputs(
-                        self._fc,
-                        self._ac_fan,
-                        eff_duty,
-                        self._pod_powers,
-                        validate=False,
-                        reuse_power=True,
-                    )
-
-            plant_state = self._plant.step_outside(
-                temps_grid[:, grid_col], mix_grid[:, grid_col], dt
-            )
-            inlets = plant_state.pod_inlet_temp_c
-            means = np.add.reduce(inlets, axis=1) / inlets.shape[1]
-            inside_rh = absolute_to_relative_humidity_array(
-                plant_state.cold_aisle_mixing_ratio, means
-            )
-            self._readings[:] = _quantize_temp(inlets)
-            self._cold_rh[:] = _quantize_rh(inside_rh)
-            self._outside_read[:] = _quantize_temp(temps_grid[:, grid_col])
-            self._outside_rh_read[:] = _quantize_rh(rh_grid[:, grid_col])
-            disk_temps = self._disks.step(inlets, self._disk_util, dt)
-
-            # Weather-coupled backends draw power (chiller lift) and
-            # water (tower evaporation) per step, after the plant step —
-            # the scalar step_resources position.
-            for group in self._plant_groups:
-                idx = group.indices
-                power, water = group.lunits.step_resources(
-                    self._it_power[idx], dt
-                )
-                self._cooling_power[idx] = power
-                self._water_step[idx] = water
-
-            if step >= 0:
-                rec_temps[step] = self._readings
-                rec_outside[step] = self._outside_read
-                rec_cooling[step] = self._cooling_power
-                rec_it[step] = self._it_power
+                    rec_cooling[r0:p1, idx] = power
+                    rec_water[r0:p1, idx] = water
                 if self._plant_groups:
-                    rec_water[step] = self._water_step
-                    rec_regime[step] = self._regime_code
+                    rec_regime[r0:p1] = self._regime_code
                 if keep_traces:
-                    rec_rh[step] = self._cold_rh
-                    rec_orh[step] = self._outside_rh_read
-                    rec_fan[step] = self._fan
-                    rec_duty[step] = self._duty
-                    rec_util[step] = self._util
-                    rec_disks[step] = disk_temps
+                    rec_fan[r0:p1] = self._fan
+                    rec_duty[r0:p1] = self._duty
+                    rec_util[r0:p1] = self._util
                     for lane_index in range(num):
-                        rec_modes[lane_index].append(self._modes[lane_index])
-                        rec_regimes[lane_index].append(
-                            self._regime_str[lane_index]
+                        rec_modes[lane_index].extend(
+                            [self._modes[lane_index]] * (p1 - r0)
+                        )
+                        rec_regimes[lane_index].extend(
+                            [self._regime_str[lane_index]] * (p1 - r0)
                         )
 
+            # -- once per model step: only what follows the plant state.
+            for step in range(p0, p1):
+                col = step + warmup_steps
+                inlets = self._plant.step_outside(
+                    temps_grid[:, col], mix_grid[:, col], dt, row=step - p0
+                ).pod_inlet_temp_c
+                readings[col + 1] = _quantize_temp(inlets)
+                if keep_traces:
+                    disk_temps = self._disks.step(inlets, self._disk_util, dt)
+                    if step >= 0:
+                        rec_rh[step] = self._cold_aisle_rh()
+                        rec_disks[step] = disk_temps
+
+        rec_temps = readings[warmup_steps + 1:]
         times = np.arange(steps, dtype=float) * dt
         metrics = []
         traces: List[Optional[DayTrace]] = []
         for lane_index, lane in enumerate(self.lanes):
             temps = np.ascontiguousarray(rec_temps[:, lane_index, :])
-            outside = np.ascontiguousarray(rec_outside[:, lane_index])
+            outside = outside_q[lane_index, warmup_steps:]
             cooling = np.ascontiguousarray(rec_cooling[:, lane_index])
             it = np.ascontiguousarray(rec_it[:, lane_index])
             if self._is_plant_lane[lane_index]:
@@ -863,7 +859,9 @@ class LaneRunner:
                             cooling_power_w=float(cooling[row]),
                             it_power_w=float(it[row]),
                             inside_rh_pct=float(rec_rh[row, lane_index]),
-                            outside_rh_pct=float(rec_orh[row, lane_index]),
+                            outside_rh_pct=float(
+                                outside_rh_q[lane_index, warmup_steps + row]
+                            ),
                             utilization=float(rec_util[row, lane_index]),
                             disk_temps_c=tuple(
                                 float(t)

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro import constants
 from repro.core.coolair import CoolAir
-from repro.core.config import CoolAirConfig
+from repro.core.config import CoolAirConfig, TemporalPolicy
 from repro.core.modeler import CoolingModel
 from repro.errors import ConfigError, SimulationError
 from repro.sim.campaign import trained_cooling_model
@@ -32,6 +32,7 @@ from repro.sim.engine import (
 )
 from repro.sim.trace import DayTrace
 from repro.weather.climate import Climate, DAYS_PER_YEAR
+from repro.workload.profile import initial_demand_profile
 from repro.workload.traces import Trace
 
 
@@ -132,6 +133,24 @@ class YearResult:
         )
 
 
+def run_trace(system: Union[str, CoolAirConfig], trace: Trace) -> Trace:
+    """The trace one run steps: the shared source, or a private copy.
+
+    Temporal scheduling writes each job's ``scheduled_start_s`` (and a
+    CoolAir day start clears it), so a system with a temporal policy, or
+    a trace that already carries scheduled starts, steps a private copy.
+    Shallow job copies suffice: every other job field is an immutable
+    scalar.  Every other run only reads the trace and shares it.
+    """
+    if (
+        isinstance(system, str) or system.temporal is TemporalPolicy.NONE
+    ) and all(job.scheduled_start_s is None for job in trace.jobs):
+        return trace
+    clone = copy.copy(trace)
+    clone.jobs = [copy.copy(job) for job in trace.jobs]
+    return clone
+
+
 def sampled_days(sample_every_days: int = 7) -> List[int]:
     """First day of each week (or each N-day stride) of the year."""
     if sample_every_days < 1:
@@ -159,10 +178,12 @@ def run_year(
     (e.g. from :mod:`repro.core.versions`).  The baseline runs on the
     abrupt Parasol hardware it was designed for; CoolAir versions default
     to the smooth hardware of Smooth-Sim (Section 5.1).  ``plant``
-    selects the cooling backend (:mod:`repro.cooling.backends`).  Traces
-    are deep-copied because temporal scheduling mutates job start times.
+    selects the cooling backend (:mod:`repro.cooling.backends`).  A
+    system that temporally schedules jobs runs on a private copy of the
+    trace (:func:`run_trace`).
     """
-    trace = copy.deepcopy(trace)
+    source = trace
+    trace = run_trace(system, source)
     is_baseline = isinstance(system, str)
     if is_baseline and system != "baseline":
         raise SimulationError(f"unknown system {system!r}")
@@ -190,7 +211,15 @@ def run_year(
         adapter = CoolAirAdapter(coolair)
         label = system.name
 
-    workload = ProfileWorkload(trace, setup.layout, float(setup.control_period_s))
+    interval_s = float(setup.control_period_s)
+    workload = ProfileWorkload(
+        trace,
+        setup.layout,
+        interval_s,
+        profile=initial_demand_profile(
+            source, setup.layout.num_servers, interval_s
+        ),
+    )
     runner = DayRunner(setup, workload, adapter)
 
     days = sampled_days(sample_every_days)

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List
+import weakref
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -138,3 +139,38 @@ def build_demand_profile(
         slots_per_server=slots_per_server,
         busy_slot_seconds=busy,
     )
+
+
+# (id(trace), num_servers, interval_s) -> (weak reference to the trace,
+# its initial profile).  The weak reference tells a live trace from a
+# dead one whose id was reused.
+_initial_profiles: Dict[
+    Tuple[int, int, float], Tuple[weakref.ref, DemandProfile]
+] = {}
+
+
+def initial_demand_profile(
+    trace: Trace, num_servers: int, interval_s: float
+) -> DemandProfile:
+    """``build_demand_profile(trace, ...)``, memoized per process.
+
+    Year runs build the same initial profile for every cell and lane that
+    steps one trace, so it is kept per trace identity.  Only a trace with
+    no job rescheduled is memoized: the temporal scheduler's start times
+    change the profile, so such a trace is built afresh every time.  The
+    returned profile is shared; callers replace it (as
+    ``ProfileWorkload.rebuild`` does), never mutate it.
+    """
+    if any(job.scheduled_start_s is not None for job in trace.jobs):
+        return build_demand_profile(
+            trace, num_servers=num_servers, interval_s=interval_s
+        )
+    key = (id(trace), num_servers, interval_s)
+    entry = _initial_profiles.get(key)
+    if entry is not None and entry[0]() is trace:
+        return entry[1]
+    profile = build_demand_profile(
+        trace, num_servers=num_servers, interval_s=interval_s
+    )
+    _initial_profiles[key] = (weakref.ref(trace), profile)
+    return profile

@@ -65,7 +65,10 @@ CACHE_DIR = pathlib.Path(
 # v3: half-up sensor quantization + daily_degraded_fraction payload field.
 # v4: day boundaries reset actuator/latch/disk state, making sampled days
 #     independent (the invariant behind day-unfolded lane scheduling).
-CACHE_SCHEMA_VERSION = 4
+# v5: a temporal-policy day that moves no job replays the initial demand
+#     profile, not the previous day's rescheduled one (All-DEF and
+#     Energy-DEF cells can change).
+CACHE_SCHEMA_VERSION = 5
 
 DEFAULT_SAMPLE_DAYS = int(os.environ.get("REPRO_SAMPLE_DAYS", "14"))
 DEFAULT_TRACE_JOBS = int(os.environ.get("REPRO_TRACE_JOBS", "1200"))
@@ -163,6 +166,13 @@ def nutch_trace(deferrable: bool = False) -> Trace:
             lambda: generator.generate(deferrable=deferrable),
         )
     return _trace_cache[key]
+
+
+def workload_trace(workload: str, deferrable: bool = False) -> Trace:
+    """The cached trace of a cell's workload: ``"facebook"`` or ``"nutch"``."""
+    if workload == "facebook":
+        return facebook_trace(deferrable)
+    return nutch_trace(deferrable)
 
 
 # -- cache schema --------------------------------------------------------------
@@ -394,6 +404,41 @@ def year_result(
     (default ``REPRO_PLANT`` or ``parasol``); every backend rides the
     lane engine through its lane-vectorized units.
     """
+    key, result = cell_result(
+        system,
+        climate,
+        workload,
+        deferrable,
+        sample_every_days,
+        forecast_bias_c,
+        use_disk_cache,
+        engine,
+        day_lanes,
+        plant,
+    )
+    _memory_cache[key] = result
+    return result
+
+
+def cell_result(
+    system: Union[str, CoolAirConfig],
+    climate: Climate,
+    workload: str = "facebook",
+    deferrable: bool = False,
+    sample_every_days: Optional[int] = None,
+    forecast_bias_c: float = 0.0,
+    use_disk_cache: bool = True,
+    engine: Optional[str] = None,
+    day_lanes: Optional[int] = None,
+    plant: Optional[str] = None,
+) -> Tuple[str, YearResult]:
+    """:func:`year_result` without seeding the memory cache.
+
+    Returns ``(cache key, result)``: a cache hit, or a fresh run persisted
+    to the disk cache only.  The campaign runner's worker entry points run
+    cells through it, so a worker — a long-lived pool process, or the
+    parent of a streaming run — never pins the cells it computed.
+    """
     from repro.cooling.backends import resolve_plant
 
     plant = resolve_plant(plant)
@@ -410,13 +455,11 @@ def year_result(
         engine,
         plant,
     )
-    cached = load_cached(key, use_disk_cache)
+    cached = load_cached(key, use_disk_cache, cache_memory=False)
     if cached is not None:
-        return cached
+        return key, cached
 
-    trace = (
-        facebook_trace(deferrable) if workload == "facebook" else nutch_trace(deferrable)
-    )
+    trace = workload_trace(workload, deferrable)
     if isinstance(system, str):
         model = None
     else:
@@ -455,8 +498,9 @@ def year_result(
             forecast_bias_c=forecast_bias_c,
             plant=plant,
         )
-    store_result(key, result, use_disk_cache)
-    return result
+    if use_disk_cache:
+        _write_disk_entry(key, result)
+    return key, result
 
 
 # -- campaign matrices ---------------------------------------------------------

@@ -4,12 +4,15 @@ The paper's evaluation is an embarrassingly-parallel sweep: a 5-locations
 x N-systems x 2-workloads year matrix (Figures 8-10, Section 5.2) and a
 1520-location worldwide grid (Figures 12/13).  Every cell is an
 independent deterministic year simulation, so this module fans them out
-over a :class:`concurrent.futures.ProcessPoolExecutor`:
+over a process pool:
 
 * worker count comes from the ``workers`` argument, the ``REPRO_WORKERS``
   environment variable, or ``os.cpu_count()``, in that order;
-* ``workers=1`` (or a single pending task) falls back to plain in-process
-  execution — no pool, no pickling;
+* the uncached cells become work units — lane chunks, ``(cell, day)``
+  chunks and single cells — and one loop submits them and handles each
+  finished one; ``workers=1`` (or a single pending unit) runs the same
+  units through the same loop on an in-process executor — no pool, no
+  pickling;
 * results come back in task order regardless of completion order, and the
   simulations are deterministic, so serial and parallel runs produce
   identical results;
@@ -24,15 +27,16 @@ Failure handling (docs/ROBUSTNESS.md):
   :class:`~repro.errors.TaskExecutionError`, which carries the failing
   (system, climate, workload, bias) cell's label across the process
   boundary;
-* failed cells are retried with exponential backoff — ``task_retries``
-  / ``REPRO_TASK_RETRIES`` attempts (default 1 retry) — and a failed
-  lane chunk is re-run cell by cell so one bad lane cannot poison its
-  chunk-mates;
+* one rule for every unit: a failed chunk never fails a cell — each of
+  its cells comes back as a single with one more attempt, so one bad
+  lane cannot poison its chunk-mates — and a single fails once its
+  attempts exceed ``task_retries`` / ``REPRO_TASK_RETRIES`` (default 1
+  retry); retries back off exponentially;
 * a crashed worker (``BrokenProcessPool``) or a pool that makes no
-  progress for ``task_timeout_s`` / ``REPRO_TASK_TIMEOUT_S`` seconds
-  abandons the pool and re-runs only the unfinished cells serially in
-  the parent, checking the cache first so a cell the dead worker already
-  persisted is never recomputed or re-written;
+  progress for ``task_timeout_s`` / ``REPRO_TASK_TIMEOUT_S`` seconds is
+  terminated, and the unfinished cells continue as singles on the
+  in-process executor, checking the cache first so a cell the dead
+  worker already persisted is never recomputed or re-written;
 * with a ``failures`` list the run completes and reports failed cells
   (:class:`TaskFailure`) instead of dying on the first one.
 
@@ -49,17 +53,12 @@ exactly these guarantees — keep them):
   worker processes.  They take plain picklable data (:class:`YearTask`),
   return plain JSON payloads, read every ``REPRO_*`` artifact/cache knob
   from the environment per call, and persist results through the atomic
-  disk cache — so any number of pools, in any number of parent
-  processes, may run them concurrently against the same cache directory.
-  (Day chunks are the one exception to worker-side persistence: they
-  return per-day fragments, and the parent folding them into a whole
-  cell is the writer.)
-* **Pool lifetime is the caller's.**  :class:`WorkerPool` owns a
-  persistent ``ProcessPoolExecutor`` that survives across
-  :func:`run_year_tasks` calls (pass it as ``pool=``); without one the
-  function creates and tears down a private pool per call, as before.
-  A broken shared pool is reset (old processes discarded, a fresh
-  executor created lazily), never left poisoned.
+  disk cache only — never the worker's memory cache — so any number of
+  pools, in any number of parent processes, may run them concurrently
+  against the same cache directory, and a long-lived worker does not
+  grow with the cells it ran.  (Day chunks are the one exception to
+  worker-side persistence: they return per-day summaries, and the parent
+  folding them into a whole cell is the writer.)
 * **Env knobs read per call** (safe to change between calls in one
   process): ``REPRO_WORKERS``, ``REPRO_TASK_RETRIES``,
   ``REPRO_TASK_TIMEOUT_S``, ``REPRO_MP_CONTEXT``, and — inside workers —
@@ -81,13 +80,18 @@ import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import CoolAirConfig
 from repro.errors import ReproError, TaskExecutionError
-from repro.sim.yearsim import YearResult, sampled_days
+from repro.sim.yearsim import YearResult, fold_days, sampled_days
 from repro.weather.climate import Climate
 
 logger = logging.getLogger("repro.analysis.runner")
@@ -240,16 +244,11 @@ def resolve_task_timeout(requested: Optional[float] = None) -> Optional[float]:
 
 
 class WorkerPool:
-    """A process pool whose lifetime outlives a single campaign call.
+    """A process pool whose lifetime its owner decides.
 
-    ``run_year_tasks`` historically created and destroyed one
-    ``ProcessPoolExecutor`` per invocation — fine for a one-shot CLI
-    command, wasteful for a long-running service that runs many
-    campaigns against the same workers.  A ``WorkerPool`` decouples the
-    two: create it once, pass it to any number of ``run_year_tasks``
-    calls (``pool=``) or submit the module's worker entry points to it
-    directly (the campaign service does), and shut it down when the
-    owning process exits.
+    :func:`run_year_tasks` owns one per call; the campaign service holds
+    one for the life of ``serve`` and submits the module's worker entry
+    points to it directly, so many campaigns share the same workers.
 
     The underlying executor is created lazily on first use and recreated
     lazily after :meth:`reset`, so a crashed or hung worker generation
@@ -274,8 +273,8 @@ class WorkerPool:
         """Bumped on every :meth:`reset`; lets callers detect restarts."""
         return self._generation
 
-    def executor(self) -> ProcessPoolExecutor:
-        """The live executor, created on demand."""
+    def submit(self, fn, /, *args, **kwargs):
+        """Submit work; raises ``BrokenProcessPool`` if the pool just died."""
         with self._lock:
             if self._executor is None:
                 self._executor = ProcessPoolExecutor(
@@ -286,11 +285,8 @@ class WorkerPool:
                         else None
                     ),
                 )
-            return self._executor
-
-    def submit(self, fn, /, *args, **kwargs):
-        """Submit work; raises ``BrokenProcessPool`` if the pool just died."""
-        return self.executor().submit(fn, *args, **kwargs)
+            executor = self._executor
+        return executor.submit(fn, *args, **kwargs)
 
     def reset(self) -> None:
         """Discard a broken/hung worker generation without waiting on it.
@@ -329,12 +325,6 @@ class WorkerPool:
         for process in processes:
             process.join()
 
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
 
 def _wrap_error(label: str, err: BaseException) -> TaskExecutionError:
     if isinstance(err, TaskExecutionError):
@@ -345,7 +335,7 @@ def _wrap_error(label: str, err: BaseException) -> TaskExecutionError:
 def _run_task(task: YearTask, use_disk_cache: bool = True) -> YearResult:
     from repro.analysis import experiments
 
-    return experiments.year_result(
+    _, result = experiments.cell_result(
         task.system,
         task.climate,
         workload=task.workload,
@@ -356,6 +346,7 @@ def _run_task(task: YearTask, use_disk_cache: bool = True) -> YearResult:
         day_lanes=task.day_lanes,
         plant=task.plant,
     )
+    return result
 
 
 def _execute_task_payload(task: YearTask, use_disk_cache: bool) -> dict:
@@ -373,6 +364,28 @@ def _execute_task_payload(task: YearTask, use_disk_cache: bool) -> dict:
     return experiments._result_to_json(result)
 
 
+def _lane_scenarios(tasks: Sequence[YearTask]):
+    """The tasks' lane scenarios, and the trained model CoolAir lanes share."""
+    from repro.analysis import experiments
+    from repro.sim.campaign import trained_cooling_model
+    from repro.sim.lanes import LaneScenario
+
+    scenarios = []
+    for task in tasks:
+        system, _ = experiments._resolve_system(task.system)
+        scenarios.append(
+            LaneScenario(
+                system=system,
+                climate=task.climate,
+                trace=experiments.workload_trace(task.workload, task.deferrable),
+                forecast_bias_c=task.forecast_bias_c,
+                plant=task.plant,
+            )
+        )
+    needs_model = any(not isinstance(s.system, str) for s in scenarios)
+    return scenarios, trained_cooling_model() if needs_model else None
+
+
 def _run_lane_chunk(
     chunk: Sequence[YearTask], use_disk_cache: bool
 ) -> List[YearResult]:
@@ -381,48 +394,28 @@ def _run_lane_chunk(
     All tasks in a chunk must share (and do, by construction in
     :func:`run_year_tasks`) the same day-sampling stride; systems,
     climates, workloads, and forecast biases mix freely across lanes.
-    Each lane's result is bit-identical to its scalar run and is stored
-    under its own cache key.
+    Each lane's result is bit-identical to its scalar run and is
+    persisted to the disk cache under its own key.
     """
     from repro.analysis import experiments
-    from repro.sim.campaign import trained_cooling_model
-    from repro.sim.lanes import LaneScenario, run_year_lanes
+    from repro.sim.lanes import run_year_lanes
 
     sample = chunk[0].sample_every_days or experiments.DEFAULT_SAMPLE_DAYS
-    scenarios = []
-    needs_model = False
-    for task in chunk:
-        system, _ = experiments._resolve_system(task.system)
-        if not isinstance(system, str):
-            needs_model = True
-        trace = (
-            experiments.facebook_trace(task.deferrable)
-            if task.workload == "facebook"
-            else experiments.nutch_trace(task.deferrable)
-        )
-        scenarios.append(
-            LaneScenario(
-                system=system,
-                climate=task.climate,
-                trace=trace,
-                forecast_bias_c=task.forecast_bias_c,
+    scenarios, model = _lane_scenarios(chunk)
+    results = run_year_lanes(scenarios, model=model, sample_every_days=sample)
+    if use_disk_cache:
+        for task, result in zip(chunk, results):
+            key = experiments.cache_key(
+                task.system,
+                task.climate,
+                task.workload,
+                task.deferrable,
+                task.sample_every_days,
+                task.forecast_bias_c,
+                "lanes",
                 plant=task.plant,
             )
-        )
-    model = trained_cooling_model() if needs_model else None
-    results = run_year_lanes(scenarios, model=model, sample_every_days=sample)
-    for task, result in zip(chunk, results):
-        key = experiments.cache_key(
-            task.system,
-            task.climate,
-            task.workload,
-            task.deferrable,
-            task.sample_every_days,
-            task.forecast_bias_c,
-            "lanes",
-            plant=task.plant,
-        )
-        experiments.store_result(key, result, use_disk_cache)
+            experiments._write_disk_entry(key, result)
     return results
 
 
@@ -440,12 +433,6 @@ def _execute_lane_chunk_payload(
     return [experiments._result_to_json(result) for result in results]
 
 
-# The scalar reference's violation threshold (``run_year``'s default);
-# day-chunk workers compute per-day violations at it so temperature
-# arrays never cross the process boundary.
-_VIOLATION_THRESHOLD_C = 30.0
-
-
 def _run_day_chunk(
     items: Sequence[Tuple[YearTask, int]], use_disk_cache: bool
 ) -> List[dict]:
@@ -455,57 +442,18 @@ def _run_day_chunk(
     item's sampled day.  Items may mix cells (and strides) freely — every
     lane carries its own day — and sibling items of one cell share the
     cell's trace and trained model, so the lane-combo plan cache hits
-    across them.  Returns one compact per-day metrics dict per item; the
-    parent folds them back into :class:`YearResult`s in day order
+    across them.  Returns one day summary
+    (:func:`repro.sim.lanes.day_summary`) per item; the parent folds them
+    back into :class:`YearResult`s with :func:`~repro.sim.yearsim.fold_days`
     (``use_disk_cache`` is unused here — only whole cells are cached, by
     the parent, after the fold).
     """
-    from repro.analysis import experiments
-    from repro.sim.campaign import trained_cooling_model
-    from repro.sim.lanes import LaneRunner, LaneScenario
-    from repro.sim.trace import avg_violation_from
+    from repro.sim.lanes import LaneRunner, day_summary
 
-    scenarios = []
-    days = []
-    needs_model = False
-    for task, day in items:
-        system, _ = experiments._resolve_system(task.system)
-        if not isinstance(system, str):
-            needs_model = True
-        trace = (
-            experiments.facebook_trace(task.deferrable)
-            if task.workload == "facebook"
-            else experiments.nutch_trace(task.deferrable)
-        )
-        scenarios.append(
-            LaneScenario(
-                system=system,
-                climate=task.climate,
-                trace=trace,
-                forecast_bias_c=task.forecast_bias_c,
-                plant=task.plant,
-            )
-        )
-        days.append(int(day))
-    model = trained_cooling_model() if needs_model else None
+    scenarios, model = _lane_scenarios([task for task, _ in items])
     runner = LaneRunner(scenarios, model=model)
-    metrics, _ = runner.run_day(days)
-    return [
-        {
-            "worst_range_c": day_metrics["worst_range_c"],
-            "outside_range_c": day_metrics["outside_range_c"],
-            "avg_violation_c": avg_violation_from(
-                day_metrics["temps"], _VIOLATION_THRESHOLD_C
-            ),
-            "max_rate_c_per_hour": day_metrics["max_rate_c_per_hour"],
-            "cooling_kwh": day_metrics["cooling_kwh"],
-            "it_kwh": day_metrics["it_kwh"],
-            "water_l": day_metrics["water_l"],
-            "tower_mech_hours": day_metrics["tower_mech_hours"],
-            "chiller_mech_hours": day_metrics["chiller_mech_hours"],
-        }
-        for day_metrics in metrics
-    ]
+    metrics, _ = runner.run_day([int(day) for _, day in items])
+    return [day_summary(day_metrics) for day_metrics in metrics]
 
 
 def _execute_day_chunk_payload(
@@ -540,10 +488,7 @@ def _warm_shared_state(tasks: Sequence[YearTask]) -> None:
     gap_keys = set()
     model_needs = []
     for task in tasks:
-        if task.workload == "facebook":
-            experiments.facebook_trace(task.deferrable)
-        else:
-            experiments.nutch_trace(task.deferrable)
+        experiments.workload_trace(task.workload, task.deferrable)
         system, _ = experiments._resolve_system(task.system)
         if isinstance(system, str):
             continue
@@ -569,26 +514,37 @@ def _note_retry(
         retried.append(task.label())
 
 
-def _run_task_with_retries(
-    task: YearTask,
-    use_disk_cache: bool,
-    retries: int,
-    backoff_s: float,
-    retried: Optional[List[str]],
-    attempts_used: int = 0,
-) -> YearResult:
-    """In-process execution with retry/backoff; raises TaskExecutionError."""
-    attempt = attempts_used
-    while True:
+class _InlineExecutor:
+    """An executor that runs each submission at once, in this process.
+
+    ``submit`` returns an already finished :class:`Future`, so in-process
+    runs (``workers=1``, a single pending unit, recovery after a dead or
+    stalled pool) go through the same loop as pooled ones.
+    """
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
         try:
-            return _run_task(task, use_disk_cache)
-        except Exception as err:  # noqa: BLE001 - converted to typed error
-            attempt += 1
-            if attempt > retries:
-                raise _wrap_error(task.label(), err) from err
-            _note_retry(retried, task, attempt, err)
-            if backoff_s > 0:
-                time.sleep(backoff_s * (2 ** (attempt - 1)))
+            future.set_result(fn(*args, **kwargs))
+        except Exception as err:  # noqa: BLE001 - delivered like a worker's
+            future.set_exception(err)
+        return future
+
+
+@dataclasses.dataclass(frozen=True)
+class _Unit:
+    """One submission: a worker entry point and the task indices it covers.
+
+    ``kind`` is ``"cell"`` (one cell, :func:`_execute_task_payload`),
+    ``"lanes"`` (a lane chunk) or ``"days"`` (a ``(cell, day)`` chunk,
+    whose ``items`` are its ``(cell, day position, day)`` triples).
+    """
+
+    kind: str
+    entry: Callable
+    arg: object
+    cells: Tuple[int, ...]
+    items: Tuple[Tuple[int, int, int], ...] = ()
 
 
 def run_year_tasks(
@@ -605,8 +561,6 @@ def run_year_tasks(
     retried: Optional[List[str]] = None,
     consume: Optional[ConsumeCallback] = None,
     keep_results: bool = True,
-    mp_context: Optional[str] = None,
-    pool: Optional[WorkerPool] = None,
     cost_model=None,
 ) -> List[Optional[YearResult]]:
     """Run a batch of campaign cells, in parallel where possible.
@@ -623,13 +577,14 @@ def run_year_tasks(
     cell's sampled days into ``(cell, day)`` work items: consecutive runs
     of up to ``day_lanes`` items — sibling days of one cell, or a mix of
     cells — become one lockstep lane batch per chunk, and the per-day
-    metrics are folded back into each cell's :class:`YearResult` in day
+    summaries are folded back into each cell's :class:`YearResult` in day
     order, bit-identical to the day-sequential run.  Cells whose days are
     not provably independent (faulted, deferrable, temporal scheduling —
     see :func:`repro.analysis.experiments.day_unfold_eligible`) keep the
-    day-sequential path, and serial/fallback execution of an unfolded
-    cell uses the in-worker unfold (``experiments.year_result`` with
-    ``day_lanes``) so every path computes the same bits.
+    day-sequential path, and a day-unfolded cell that comes back as a
+    single (a retry, or recovery) unfolds in the worker instead
+    (``experiments.year_result`` with ``day_lanes``), so every path
+    computes the same bits.
 
     Streaming: ``consume`` is called with ``(index, task, result)`` as
     each cell completes (cache hits included), in completion order, and
@@ -638,25 +593,15 @@ def run_year_tasks(
     the parent's memory cache is not seeded, so memory stays bounded for
     arbitrarily large sweeps.  Failed cells never reach ``consume``.
 
-    ``mp_context`` (default ``REPRO_MP_CONTEXT``) picks the pool start
-    method — ``fork`` shares the parent's warmed state by inheritance,
-    ``spawn`` rebuilds workers from the artifact store.
-
-    ``pool`` runs the fan-out on a caller-owned persistent
-    :class:`WorkerPool` instead of a private per-call executor: worker
-    processes survive across calls (the caller shuts the pool down), its
-    ``workers`` count wins when ``workers`` is not given, and a broken
-    pool is :meth:`WorkerPool.reset` rather than abandoned so the next
-    call starts clean.
-
     ``task_retries`` retries each failing cell (with exponential
     ``backoff_s`` doubling), ``task_timeout_s`` bounds the wait for any
     cell to complete before the pool is declared stuck, and a crashed
-    worker triggers serial in-parent recovery of only the unfinished
-    cells (cache-checked first, so nothing is recomputed or re-written).
-    Without a ``failures`` list the first exhausted cell raises
-    :class:`~repro.errors.TaskExecutionError`; with one, failed cells are
-    appended as :class:`TaskFailure` and their slots stay ``None``.
+    worker moves the unfinished cells in-process (cache-checked first,
+    so nothing is recomputed or re-written).  The pool's start method is
+    ``REPRO_MP_CONTEXT``.  Without a ``failures`` list the first
+    exhausted cell raises :class:`~repro.errors.TaskExecutionError`; with
+    one, failed cells are appended as :class:`TaskFailure` and their
+    slots stay ``None``.
 
     ``cost_model`` (a :class:`repro.analysis.screening.CostModel`) closes
     the calibration loop: when ``lanes`` is not given explicitly and the
@@ -667,8 +612,6 @@ def run_year_tasks(
     """
     from repro.analysis import experiments
 
-    if pool is not None and workers is None:
-        workers = pool.workers
     workers = resolve_workers(workers)
     if (
         lanes is None
@@ -680,18 +623,9 @@ def run_year_tasks(
     day_width = experiments.resolve_day_lanes(day_lanes, lanes)
     retries = resolve_task_retries(task_retries)
     timeout_s = resolve_task_timeout(task_timeout_s)
-    ctx_name = resolve_mp_context(mp_context)
     results: List[Optional[YearResult]] = [None] * len(tasks)
-    # Completion is tracked separately from ``results`` slots: with
-    # ``keep_results=False`` a finished cell's slot stays ``None``, so
-    # recovery logic keys off these flags, never off the slots.
-    completed = [False] * len(tasks)
-    # Cells that exhausted retries (reported via ``failures``): recovery
-    # must not resurrect them — unlike singles/lane chunks, a day-unfolded
-    # cell's days span several futures, so a failed cell can still appear
-    # in an outstanding future when the pool breaks.
-    failed_perm: set = set()
     done = 0
+    executed = 0
 
     def tick(task: YearTask) -> None:
         nonlocal done
@@ -701,7 +635,6 @@ def run_year_tasks(
 
     def record(index: int, result: YearResult) -> None:
         """One cell finished: stream it, retain it if asked, tick."""
-        completed[index] = True
         if keep_results:
             results[index] = result
         if consume is not None:
@@ -709,7 +642,6 @@ def run_year_tasks(
         tick(tasks[index])
 
     def fail(index: int, err: BaseException, attempts: int) -> None:
-        failed_perm.add(index)
         error = _wrap_error(tasks[index].label(), err)
         if failures is None:
             raise error
@@ -741,419 +673,248 @@ def run_year_tasks(
         else:
             pending.append(index)
 
-    # Day-unfolding: ``etasks`` are the *execution* tasks — an eligible
-    # cell gets its unfold width stamped on, so every execution path that
-    # runs a whole cell (serial, single resubmit, broken-pool recovery)
-    # still unfolds in-worker via ``experiments.year_result``.  Reporting
-    # (record/fail/consume/progress/cache keys) always uses the original
-    # ``tasks``; the two differ only in ``day_lanes``, which cache keys
-    # and labels ignore.
-    etasks: List[YearTask] = list(tasks)
-    day_cells: List[int] = []
-    if day_width > 1:
-        for index in pending:
-            task = tasks[index]
-            if experiments.day_unfold_eligible(task.system, task.deferrable):
-                width = (
-                    task.day_lanes if task.day_lanes is not None else day_width
-                )
-                if width > 1:
-                    etasks[index] = dataclasses.replace(
-                        task, day_lanes=width
-                    )
-                    day_cells.append(index)
-
-    exec_start = time.perf_counter()
-
-    def observe_cost() -> None:
-        """Feed (executed cells, elapsed s) to the calibrated cost model."""
-        if cost_model is None:
-            return
-        executed = sum(1 for index in pending if completed[index])
-        if executed:
-            cost_model.observe(executed, time.perf_counter() - exec_start)
-
-    def run_serial_cell(index: int, attempts_used: int = 0) -> None:
-        """One cell in-process, with retries; records result or failure."""
-        try:
-            result = _run_task_with_retries(
-                etasks[index],
-                use_disk_cache,
-                retries,
-                backoff_s,
-                retried,
-                attempts_used=attempts_used,
-            )
-            record(index, result)
-        except TaskExecutionError as err:
-            fail(index, err, attempts=retries + 1)
-
     # Partition the uncached cells: day-unfolded cells expand into
     # (cell, day) work items; other lane-engine-compatible cells group by
     # sampling stride (a lane batch steps all lanes over the same days);
     # everything else — exotic-timing or faulted configs, the scalar
     # engine, lanes=1 — runs one cell at a time.
-    unfolded = set(day_cells)
+    #
+    # Day-unfolding: ``etasks`` are the *execution* tasks — an eligible
+    # cell gets its unfold width stamped on, so when it comes back as a
+    # single (retry, broken-pool recovery) it still unfolds in-worker via
+    # ``experiments.year_result``.  Reporting (record/fail/consume/
+    # progress/cache keys) always uses the original ``tasks``; the two
+    # differ only in ``day_lanes``, which cache keys and labels ignore.
+    etasks: List[YearTask] = list(tasks)
+    day_cells: List[int] = []
+    lane_groups: Dict[int, List[int]] = {}
     singles: List[int] = []
-    lane_groups: dict = {}
-    if lanes > 1:
-        for index in pending:
-            if index in unfolded:
-                continue
-            system, _ = experiments._resolve_system(tasks[index].system)
-            if experiments.effective_engine(system) == "lanes":
-                sample = (
-                    tasks[index].sample_every_days
-                    or experiments.DEFAULT_SAMPLE_DAYS
-                )
-                lane_groups.setdefault(sample, []).append(index)
-            else:
-                singles.append(index)
-    else:
-        singles = [i for i in pending if i not in unfolded]
-
-    chunks: List[List[int]] = []
-    for indices in lane_groups.values():
-        # Spread each group across the workers before filling lanes, so a
-        # single over-full batch never starves process parallelism.
-        size = max(1, min(lanes, -(-len(indices) // workers)))
-        for i in range(0, len(indices), size):
-            chunks.append(indices[i : i + size])
+    for index in pending:
+        task = tasks[index]
+        system, _ = experiments._resolve_system(task.system)
+        width = day_width if task.day_lanes is None else task.day_lanes
+        if (
+            day_width > 1
+            and width > 1
+            and experiments.day_unfold_eligible(system, task.deferrable)
+        ):
+            etasks[index] = dataclasses.replace(task, day_lanes=width)
+            day_cells.append(index)
+        elif lanes > 1 and experiments.effective_engine(system) == "lanes":
+            sample = task.sample_every_days or experiments.DEFAULT_SAMPLE_DAYS
+            lane_groups.setdefault(sample, []).append(index)
+        else:
+            singles.append(index)
 
     # (cell index, day position, day) work items for the unfolded cells,
     # in cell-then-day order, sliced into lockstep chunks of up to
     # ``day_width`` lanes.  Chunks may straddle cells — every lane carries
-    # its own day — and the per-cell ``day_state`` fold reassembles each
-    # cell's payloads in day position regardless of completion order.
+    # its own day — and ``day_state`` reassembles each cell's summaries
+    # in day position regardless of completion order.  A cell leaves
+    # ``day_state`` when it is folded or comes back as a single; its
+    # summaries from day chunks still in flight are then ignored.
     day_items: List[Tuple[int, int, int]] = []
-    day_state: Dict[int, dict] = {}
+    day_state: Dict[int, Tuple[List[int], list]] = {}
     for index in day_cells:
         days = sampled_days(
             tasks[index].sample_every_days or experiments.DEFAULT_SAMPLE_DAYS
         )
-        day_state[index] = {
-            "days": days,
-            "payloads": [None] * len(days),
-            "filled": 0,
-            "failed": False,
-        }
+        day_state[index] = (days, [None] * len(days))
         for pos, day in enumerate(days):
             day_items.append((index, pos, day))
 
-    day_chunks: List[List[Tuple[int, int, int]]] = []
-    if day_items:
-        # Spread across workers before filling lanes, like lane chunks.
-        size = max(1, min(day_width, -(-len(day_items) // workers)))
-        for i in range(0, len(day_items), size):
-            day_chunks.append(day_items[i : i + size])
+    def chunked(items: list, width: int) -> List[list]:
+        """``items`` in slices of up to ``width`` lanes.
 
-    if workers == 1 or (len(singles) + len(chunks) + len(day_cells)) <= 1:
-        for chunk in chunks:
-            try:
-                chunk_results = _run_lane_chunk(
-                    [tasks[i] for i in chunk], use_disk_cache
-                )
-            except Exception as err:  # noqa: BLE001 - isolate per cell
-                # One bad lane poisons its whole chunk; re-run the
-                # chunk's cells one at a time so the rest still finish.
-                logger.warning(
-                    "lane chunk failed (%s); re-running its %d cells "
-                    "individually",
-                    err,
-                    len(chunk),
-                )
-                for index in chunk:
-                    run_serial_cell(index, attempts_used=1)
-                continue
-            for index, result in zip(chunk, chunk_results):
-                record(index, result)
-        # Unfolded cells run whole-cell in-process: the stamped etask
-        # routes ``year_result`` through ``run_year_unfolded``, which
-        # computes the same lockstep batches a pooled run would.
-        for index in day_cells:
-            run_serial_cell(index)
-        for index in singles:
-            run_serial_cell(index)
-        observe_cost()
-        return results
+        Spread across the workers before filling lanes, so a single
+        over-full batch never starves process parallelism.
+        """
+        size = max(1, min(width, -(-len(items) // workers)))
+        return [items[i : i + size] for i in range(0, len(items), size)]
 
-    _warm_shared_state([tasks[i] for i in pending])
+    def single(index: int) -> _Unit:
+        return _Unit("cell", _execute_task_payload, etasks[index], (index,))
 
-    # index targets are ints (single cells), lists of ints (lane chunks),
-    # or ("days", items) tuples (day-unfolded chunks).
-    futures: dict = {}
-    attempts: Dict[Tuple[int, ...], int] = {}
-    lost: List[int] = []
-    broken = False
-    owned = pool is None
-    if owned:
-        executor = ProcessPoolExecutor(
-            max_workers=min(
-                workers, len(singles) + len(chunks) + len(day_chunks)
-            ),
-            mp_context=(
-                multiprocessing.get_context(ctx_name) if ctx_name else None
-            ),
+    units = [
+        _Unit(
+            "days",
+            _execute_day_chunk_payload,
+            [(tasks[i], day) for i, _, day in items],
+            tuple(sorted({i for i, _, _ in items})),
+            tuple(items),
         )
-    else:
-        executor = pool.executor()
-
-    not_done: set = set()
-
-    def submit_chunk(chunk: List[int]) -> None:
-        nonlocal broken
-        try:
-            future = executor.submit(
+        for items in chunked(day_items, day_width)
+    ]
+    for indices in lane_groups.values():
+        units += [
+            _Unit(
+                "lanes",
                 _execute_lane_chunk_payload,
                 [tasks[i] for i in chunk],
-                use_disk_cache,
+                tuple(chunk),
             )
-        except BrokenProcessPool:
-            broken = True
-            lost.extend(chunk)
-            return
-        except RuntimeError:
-            lost.extend(chunk)
-            return
-        futures[future] = chunk
-        not_done.add(future)
+            for chunk in chunked(indices, lanes)
+        ]
+    units += [single(index) for index in singles]
 
-    def submit_single(index: int) -> None:
-        nonlocal broken
-        try:
-            future = executor.submit(
-                _execute_task_payload, etasks[index], use_disk_cache
-            )
-        except BrokenProcessPool:
-            broken = True
-            lost.append(index)
-            return
-        except RuntimeError:
-            lost.append(index)
-            return
-        futures[future] = index
-        not_done.add(future)
+    inline = _InlineExecutor()
+    pool: Optional[WorkerPool] = None
+    if workers > 1 and len(units) > 1:
+        _warm_shared_state([tasks[i] for i in pending])
+        pool = WorkerPool(min(workers, len(units)))
+    executor = inline if pool is None else pool
+    inflight: Dict[Future, _Unit] = {}
+    attempts: Dict[int, int] = {}
+    exec_start = time.perf_counter()
 
-    def submit_day_chunk(items: List[Tuple[int, int, int]]) -> None:
-        nonlocal broken
-        cells = sorted({i for i, _, _ in items})
-        try:
-            future = executor.submit(
-                _execute_day_chunk_payload,
-                [(tasks[i], day) for i, _, day in items],
-                use_disk_cache,
-            )
-        except BrokenProcessPool:
-            broken = True
-            lost.extend(cells)
-            return
-        except RuntimeError:
-            lost.extend(cells)
-            return
-        futures[future] = ("days", items)
-        not_done.add(future)
-
-    def fold_day_cell(index: int) -> None:
-        """All of a cell's day payloads arrived: fold them in day order.
-
-        Appends and energy accumulation visit the days in sampled order —
-        the same float additions in the same order as the scalar
-        ``run_year`` — so the folded result is bit-identical to the
-        day-sequential cell.  The parent is the cache writer for day
-        chunks (workers only ever see fragments of the cell).
-        """
-        task = tasks[index]
-        state = day_state.pop(index)
-        payloads = state["payloads"]
-        system, _ = experiments._resolve_system(task.system)
-        result = YearResult(
-            label="Baseline" if isinstance(system, str) else system.name,
-            climate_name=task.climate.name,
-            sampled_days=state["days"],
-            daily_worst_range_c=[p["worst_range_c"] for p in payloads],
-            daily_outside_range_c=[p["outside_range_c"] for p in payloads],
-            daily_avg_violation_c=[p["avg_violation_c"] for p in payloads],
-            daily_max_rate_c_per_hour=[
-                p["max_rate_c_per_hour"] for p in payloads
-            ],
-            cooling_kwh=0.0,
-            it_kwh=0.0,
-            # Unfold-eligible cells never run faulted, so no step
-            # degrades; 0.0 matches the scalar mean-of-no-flags exactly.
-            daily_degraded_fraction=[0.0] * len(payloads),
-        )
-        for payload in payloads:
-            result.cooling_kwh += payload["cooling_kwh"]
-            result.it_kwh += payload["it_kwh"]
-            result.water_l += payload.get("water_l", 0.0)
-            result.tower_mech_hours += payload.get("tower_mech_hours", 0.0)
-            result.chiller_mech_hours += payload.get(
-                "chiller_mech_hours", 0.0
-            )
-        key = task_key(index)
-        if use_disk_cache:
-            experiments._write_disk_entry(key, result)
+    def finished_cell(index: int, result: YearResult) -> None:
+        """A cell ran: seed the memory cache if results are kept, record."""
+        nonlocal executed
+        executed += 1
         if keep_results:
-            experiments.store_result(key, result, use_disk_cache=False)
+            experiments.store_result(
+                task_key(index), result, use_disk_cache=False
+            )
         record(index, result)
 
-    def day_cell_failed(index: int, err: BaseException) -> None:
-        """A chunk carrying one of this cell's days failed.
+    def take_cells(unit: _Unit) -> List[int]:
+        """The unit's cells still waiting on it, released from their chunk.
 
-        The whole cell falls back to a single-cell resubmission (which
-        still unfolds in-worker via its stamped etask), inheriting the
-        attempt count; sibling day payloads still in flight are ignored
-        once the cell is marked failed.
+        A lane chunk or single is its cells' only unit; a day-unfolded
+        cell waits on several day chunks until it is folded or comes back
+        as a single.
         """
-        state = day_state.get(index)
-        if state is None or state["failed"]:
+        if unit.kind == "days":
+            return [i for i in unit.cells if day_state.pop(i, None)]
+        return list(unit.cells)
+
+    def submit(unit: _Unit) -> None:
+        """Run ``unit`` on the current executor; handle it if it finished."""
+        try:
+            future = executor.submit(unit.entry, unit.arg, use_disk_cache)
+        except RuntimeError:  # BrokenProcessPool, or a pool shut down
+            recover([unit])
             return
-        state["failed"] = True
-        key = (index,)
-        attempts[key] = attempts.get(key, 0) + 1
-        used = attempts[key]
-        if used > retries:
-            fail(index, err, attempts=used)
+        if future.done():
+            finish(future, unit)
+        else:
+            inflight[future] = unit
+
+    def finish(future: Future, unit: _Unit) -> None:
+        """The one handler for a finished unit."""
+        try:
+            out = future.result()
+        except BrokenProcessPool:
+            recover([unit])
             return
-        _note_retry(retried, tasks[index], used, err)
-        if backoff_s > 0:
+        except Exception as err:  # noqa: BLE001 - typed + retried
+            retry(unit, err)
+            return
+        if unit.kind != "days":
+            payloads = [out] if unit.kind == "cell" else out
+            for index, payload in zip(unit.cells, payloads):
+                finished_cell(index, experiments._result_from_json(payload))
+            return
+        for (index, pos, _day), summary in zip(unit.items, out):
+            if index not in day_state:
+                continue
+            days, summaries = day_state[index]
+            summaries[pos] = summary
+            if None not in summaries:
+                del day_state[index]
+                fold_day_cell(index, days, summaries)
+
+    def fold_day_cell(index: int, days: List[int], summaries: list) -> None:
+        """All of a cell's day summaries arrived: fold them in day order.
+
+        :func:`fold_days` makes the same float additions in the same
+        order as the day-sequential run, so the folded result is
+        bit-identical to it.  The parent is the cache writer for day
+        chunks (workers only ever see fragments of the cell).
+        """
+        system, _ = experiments._resolve_system(tasks[index].system)
+        result = fold_days(
+            "Baseline" if isinstance(system, str) else system.name,
+            tasks[index].climate.name,
+            days,
+            summaries,
+        )
+        if use_disk_cache:
+            experiments._write_disk_entry(task_key(index), result)
+        finished_cell(index, result)
+
+    def retry(unit: _Unit, err: BaseException) -> None:
+        """The one failure rule, the same for every unit and executor.
+
+        A failed chunk never fails a cell: each cell still waiting on it
+        comes back as a single with one more attempt, so one bad lane
+        cannot poison its chunk-mates.  A single fails once its attempts
+        exceed ``retries``.
+        """
+        cells = take_cells(unit)
+        for index in cells:
+            attempts[index] = attempts.get(index, 0) + 1
+        if unit.kind == "cell" and attempts[cells[0]] > retries:
+            fail(cells[0], err, attempts=attempts[cells[0]])
+            return
+        for index in cells:
+            _note_retry(retried, tasks[index], attempts[index], err)
+        if cells and backoff_s > 0:
+            used = max(attempts[index] for index in cells)
             time.sleep(backoff_s * (2 ** (used - 1)))
-        submit_single(index)
+        for index in cells:
+            submit(single(index))
+
+    def recover(units: List[_Unit]) -> None:
+        """The pool died or stalled: finish its cells in-process.
+
+        The first call terminates the pool and adds every in-flight unit
+        it will never finish; units that did finish stay in flight and
+        are handled as usual.  Each lost cell is served from the cache if
+        the dying worker persisted it, else it comes back as a single
+        with its attempt count unchanged.
+        """
+        nonlocal executor
+        lost = list(units)
+        if executor is not inline:
+            logger.warning(
+                "worker pool broke or stalled; recovering unfinished "
+                "cells in-process"
+            )
+            executor = inline
+            pool.terminate()
+            for future, other in list(inflight.items()):
+                if not future.done():
+                    del inflight[future]
+                    lost.append(other)
+        for unit in lost:
+            for index in take_cells(unit):
+                cached = experiments.load_cached(
+                    task_key(index), use_disk_cache, cache_memory=keep_results
+                )
+                if cached is not None:
+                    record(index, cached)
+                else:
+                    submit(single(index))
 
     try:
-        for items in day_chunks:
-            submit_day_chunk(items)
-        for chunk in chunks:
-            submit_chunk(chunk)
-        for index in singles:
-            submit_single(index)
-        while not_done and not broken:
+        for unit in units:
+            submit(unit)
+        while inflight:
             finished, _ = wait(
-                not_done, timeout=timeout_s, return_when=FIRST_COMPLETED
+                inflight, timeout=timeout_s, return_when=FIRST_COMPLETED
             )
-            not_done.difference_update(finished)
             if not finished:
-                logger.warning(
-                    "no cell completed within %.0fs; abandoning the pool "
-                    "and recovering outstanding cells serially",
-                    timeout_s,
-                )
-                broken = True
-                break
+                logger.warning("no cell completed within %.0fs", timeout_s)
+                recover([])
             for future in finished:
-                target = futures.pop(future)
-                if isinstance(target, tuple):
-                    items = target[1]
-                    cells = sorted({i for i, _, _ in items})
-                    try:
-                        day_payloads = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        lost.extend(i for i in cells if not completed[i])
-                        continue
-                    except Exception as err:  # noqa: BLE001 - typed + retried
-                        for index in cells:
-                            day_cell_failed(index, err)
-                        continue
-                    for (index, pos, _day), payload in zip(
-                        items, day_payloads
-                    ):
-                        state = day_state.get(index)
-                        if state is None or state["failed"]:
-                            continue
-                        state["payloads"][pos] = payload
-                        state["filled"] += 1
-                        if state["filled"] == len(state["payloads"]):
-                            fold_day_cell(index)
-                    continue
-                indices = target if isinstance(target, list) else [target]
-                try:
-                    payloads = future.result()
-                    if not isinstance(target, list):
-                        payloads = [payloads]
-                except BrokenProcessPool:
-                    broken = True
-                    lost.extend(
-                        i for i in indices if not completed[i]
-                    )
-                    continue
-                except Exception as err:  # noqa: BLE001 - typed + retried
-                    key = tuple(indices)
-                    attempts[key] = attempts.get(key, 0) + 1
-                    used = attempts[key]
-                    if used > retries:
-                        for index in indices:
-                            fail(index, err, attempts=used)
-                        continue
-                    for index in indices:
-                        _note_retry(retried, tasks[index], used, err)
-                    if backoff_s > 0:
-                        time.sleep(backoff_s * (2 ** (used - 1)))
-                    # Resubmit — chunk failures come back as singles,
-                    # inheriting the attempt count, so one bad lane
-                    # cannot keep poisoning its chunk-mates.
-                    for index in indices:
-                        attempts[(index,)] = max(
-                            attempts.get((index,), 0), used
-                        )
-                        submit_single(index)
-                    continue
-                for index, payload in zip(indices, payloads):
-                    result = experiments._result_from_json(payload)
-                    if keep_results:
-                        # Workers already wrote the disk entry; seed this
-                        # process's memory cache so later lookups hit.
-                        experiments.store_result(
-                            task_key(index), result, use_disk_cache=False
-                        )
-                    record(index, result)
+                finish(future, inflight.pop(future))
     finally:
-        if owned:
-            if broken:
-                # Dead or hung workers: do not wait for them.  (A hung
-                # worker survives as an orphan until it finishes or is
-                # killed.)
-                executor.shutdown(wait=False, cancel_futures=True)
-            else:
-                # Normal exit has nothing queued; on an error exit (first
-                # failure raising) this stops queued cells from running.
-                executor.shutdown(cancel_futures=True)
-        else:
-            # A shared pool outlives this call: cancel whatever this call
-            # still has queued, and swap in a fresh worker generation if
-            # this one died so the next call starts clean.
-            for future in list(futures):
-                future.cancel()
-            if broken:
-                pool.reset()
+        if pool is not None:
+            # Normal exit has nothing queued; on an error exit (first
+            # failure raising) this stops queued cells from running.
+            pool.shutdown()
 
-    if broken or lost:
-        for future, target in list(futures.items()):
-            future.cancel()
-            if isinstance(target, tuple):
-                indices = sorted({i for i, _, _ in target[1]})
-            else:
-                indices = target if isinstance(target, list) else [target]
-            lost.extend(i for i in indices if not completed[i])
-        recover = sorted(
-            set(i for i in lost if not completed[i] and i not in failed_perm)
-        )
-        if recover:
-            logger.warning(
-                "recovering %d unfinished cell(s) serially in the parent",
-                len(recover),
-            )
-        for index in recover:
-            # The dead worker may have persisted this cell before dying;
-            # a cache hit here avoids recomputing (and re-writing) it.
-            cached = experiments.load_cached(
-                task_key(index), use_disk_cache, cache_memory=keep_results
-            )
-            if cached is not None:
-                record(index, cached)
-                continue
-            run_serial_cell(
-                index, attempts_used=attempts.get((index,), 0)
-            )
-    observe_cost()
+    if cost_model is not None and executed:
+        cost_model.observe(executed, time.perf_counter() - exec_start)
     return results

@@ -148,6 +148,7 @@ class ProfileWorkload:
             if profile is not None
             else initial_demand_profile(trace, layout.num_servers, interval_s)
         )
+        self._initial_profile = self.profile
         self._servers: Optional[List[Server]] = None
 
     @property
@@ -155,9 +156,15 @@ class ProfileWorkload:
         return self.trace.jobs
 
     def begin_day(self) -> None:
-        """Reset any temporal-scheduling decisions from a previous day."""
+        """Reset any temporal-scheduling decisions from a previous day.
+
+        The profile goes back to the initial one too: a day on which the
+        scheduler moves no job must replay the trace as generated, not
+        the previous day's rescheduled profile.
+        """
         for job in self.trace.jobs:
             job.scheduled_start_s = None
+        self.profile = self._initial_profile
 
     def rebuild(self) -> None:
         """Recompute the profile after the temporal scheduler moved jobs."""

@@ -99,7 +99,7 @@ from repro.sim.trace import (
     outside_range_from,
     worst_sensor_range_from,
 )
-from repro.sim.yearsim import YearResult, run_trace, sampled_days
+from repro.sim.yearsim import YearResult, fold_days, run_trace, sampled_days
 from repro.weather.climate import Climate, SECONDS_PER_DAY
 from repro.weather.forecast import ForecastService
 from repro.artifacts import tmy_series
@@ -888,56 +888,56 @@ class LaneRunner:
     ) -> List[YearResult]:
         """Year runs for every lane; one YearResult per lane, in order."""
         days = sampled_days(sample_every_days)
-        results = [
-            YearResult(
-                label=lane.label,
-                climate_name=lane.climate_name,
-                sampled_days=days,
-                daily_worst_range_c=[],
-                daily_outside_range_c=[],
-                daily_avg_violation_c=[],
-                daily_max_rate_c_per_hour=[],
-                cooling_kwh=0.0,
-                it_kwh=0.0,
-                daily_degraded_fraction=[],
-            )
-            for lane in self.lanes
-        ]
+        summaries: List[List[dict]] = [[] for _ in self.lanes]
         all_traces: List[List[DayTrace]] = [[] for _ in self.lanes]
         for day in days:
             metrics, traces = self.run_day(day, keep_traces=keep_traces)
             for lane_index, day_metrics in enumerate(metrics):
-                result = results[lane_index]
-                result.daily_worst_range_c.append(
-                    day_metrics["worst_range_c"]
+                summaries[lane_index].append(
+                    day_summary(day_metrics, violation_threshold_c)
                 )
-                result.daily_outside_range_c.append(
-                    day_metrics["outside_range_c"]
-                )
-                result.daily_avg_violation_c.append(
-                    avg_violation_from(
-                        day_metrics["temps"], violation_threshold_c
-                    )
-                )
-                result.daily_max_rate_c_per_hour.append(
-                    day_metrics["max_rate_c_per_hour"]
-                )
-                # Lanes never run faulted scenarios, so no step degrades;
-                # 0.0 matches the scalar path's mean-of-no-flags exactly.
-                result.daily_degraded_fraction.append(0.0)
-                result.cooling_kwh += day_metrics["cooling_kwh"]
-                result.it_kwh += day_metrics["it_kwh"]
-                result.water_l += day_metrics["water_l"]
-                result.tower_mech_hours += day_metrics["tower_mech_hours"]
-                result.chiller_mech_hours += (
-                    day_metrics["chiller_mech_hours"]
-                )
-                if keep_traces:
-                    all_traces[lane_index].append(traces[lane_index])
-        if keep_traces:
-            for result, lane_traces in zip(results, all_traces):
-                result.traces = lane_traces
-        return results
+                all_traces[lane_index].append(traces[lane_index])
+        return [
+            fold_days(
+                lane.label,
+                lane.climate_name,
+                days,
+                lane_summaries,
+                lane_traces if keep_traces else None,
+            )
+            for lane, lane_summaries, lane_traces in zip(
+                self.lanes, summaries, all_traces
+            )
+        ]
+
+
+def day_summary(
+    day_metrics: dict, violation_threshold_c: float = 30.0
+) -> dict:
+    """One lane's :meth:`LaneRunner.run_day` metrics as a day summary.
+
+    The summary is what :func:`~repro.sim.yearsim.fold_days` folds: plain
+    floats only, so the campaign runner's day chunks compute violations
+    in the worker (at :func:`~repro.sim.yearsim.run_year`'s default
+    threshold) and ship the summary across the process boundary instead
+    of the day's temperature array.
+    """
+    return {
+        "worst_range_c": day_metrics["worst_range_c"],
+        "outside_range_c": day_metrics["outside_range_c"],
+        "avg_violation_c": avg_violation_from(
+            day_metrics["temps"], violation_threshold_c
+        ),
+        "max_rate_c_per_hour": day_metrics["max_rate_c_per_hour"],
+        # Lanes never run faulted scenarios, so no step degrades; 0.0
+        # matches the scalar path's mean-of-no-flags exactly.
+        "degraded_fraction": 0.0,
+        "cooling_kwh": day_metrics["cooling_kwh"],
+        "it_kwh": day_metrics["it_kwh"],
+        "water_l": day_metrics["water_l"],
+        "tower_mech_hours": day_metrics["tower_mech_hours"],
+        "chiller_mech_hours": day_metrics["chiller_mech_hours"],
+    }
 
 
 def run_year_lanes(
@@ -1002,18 +1002,7 @@ def run_year_unfolded(
     # batch's predictor caches coherent with the full batches'.
     model = runner.model
 
-    result = YearResult(
-        label=runner.lanes[0].label,
-        climate_name=scenario.climate.name,
-        sampled_days=days,
-        daily_worst_range_c=[],
-        daily_outside_range_c=[],
-        daily_avg_violation_c=[],
-        daily_max_rate_c_per_hour=[],
-        cooling_kwh=0.0,
-        it_kwh=0.0,
-        daily_degraded_fraction=[],
-    )
+    summaries: List[dict] = []
     all_traces: List[DayTrace] = []
     for start in range(0, len(days), width):
         batch = days[start:start + width]
@@ -1024,29 +1013,13 @@ def run_year_unfolded(
             # grouping-independence test).
             runner = make_runner(len(batch))
         metrics, traces = runner.run_day(batch, keep_traces=keep_traces)
-        for day_metrics, trace in zip(metrics, traces):
-            result.daily_worst_range_c.append(day_metrics["worst_range_c"])
-            result.daily_outside_range_c.append(
-                day_metrics["outside_range_c"]
-            )
-            result.daily_avg_violation_c.append(
-                avg_violation_from(
-                    day_metrics["temps"], violation_threshold_c
-                )
-            )
-            result.daily_max_rate_c_per_hour.append(
-                day_metrics["max_rate_c_per_hour"]
-            )
-            # Unfold-eligible scenarios never run faulted, so no step
-            # degrades; 0.0 matches the scalar mean-of-no-flags exactly.
-            result.daily_degraded_fraction.append(0.0)
-            result.cooling_kwh += day_metrics["cooling_kwh"]
-            result.it_kwh += day_metrics["it_kwh"]
-            result.water_l += day_metrics["water_l"]
-            result.tower_mech_hours += day_metrics["tower_mech_hours"]
-            result.chiller_mech_hours += day_metrics["chiller_mech_hours"]
-            if keep_traces:
-                all_traces.append(trace)
-    if keep_traces:
-        result.traces = all_traces
-    return result
+        for day_metrics in metrics:
+            summaries.append(day_summary(day_metrics, violation_threshold_c))
+        all_traces.extend(traces)
+    return fold_days(
+        runner.lanes[0].label,
+        scenario.climate.name,
+        days,
+        summaries,
+        all_traces if keep_traces else None,
+    )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-from typing import List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -160,6 +160,48 @@ def sampled_days(sample_every_days: int = 7) -> List[int]:
     return list(range(0, DAYS_PER_YEAR, sample_every_days))
 
 
+def fold_days(
+    label: str,
+    climate_name: str,
+    days: List[int],
+    summaries: Sequence[Dict[str, float]],
+    traces: Optional[List[DayTrace]] = None,
+) -> YearResult:
+    """Fold one summary per sampled day, in day order, into a YearResult.
+
+    A summary holds the day's ``worst_range_c``, ``outside_range_c``,
+    ``avg_violation_c``, ``max_rate_c_per_hour``, ``degraded_fraction``,
+    ``cooling_kwh``, ``it_kwh``, ``water_l``, ``tower_mech_hours`` and
+    ``chiller_mech_hours``.  The scalar :func:`run_year`, both lane year
+    runs and the campaign runner's day chunks all fold here, so the
+    accumulators visit the same float additions in the same order
+    whichever engine (or process) ran the days — the bit identity the
+    engine-equivalence tests pin.
+    """
+    result = YearResult(
+        label=label,
+        climate_name=climate_name,
+        sampled_days=days,
+        daily_worst_range_c=[s["worst_range_c"] for s in summaries],
+        daily_outside_range_c=[s["outside_range_c"] for s in summaries],
+        daily_avg_violation_c=[s["avg_violation_c"] for s in summaries],
+        daily_max_rate_c_per_hour=[
+            s["max_rate_c_per_hour"] for s in summaries
+        ],
+        cooling_kwh=0.0,
+        it_kwh=0.0,
+        daily_degraded_fraction=[s["degraded_fraction"] for s in summaries],
+        traces=traces,
+    )
+    for summary in summaries:
+        result.cooling_kwh += summary["cooling_kwh"]
+        result.it_kwh += summary["it_kwh"]
+        result.water_l += summary["water_l"]
+        result.tower_mech_hours += summary["tower_mech_hours"]
+        result.chiller_mech_hours += summary["chiller_mech_hours"]
+    return result
+
+
 def run_year(
     system: Union[str, CoolAirConfig],
     climate: Climate,
@@ -223,39 +265,32 @@ def run_year(
     runner = DayRunner(setup, workload, adapter)
 
     days = sampled_days(sample_every_days)
-    result = YearResult(
-        label=label,
-        climate_name=climate.name,
-        sampled_days=days,
-        daily_worst_range_c=[],
-        daily_outside_range_c=[],
-        daily_avg_violation_c=[],
-        daily_max_rate_c_per_hour=[],
-        cooling_kwh=0.0,
-        it_kwh=0.0,
-        daily_degraded_fraction=[],
-    )
+    summaries = []
     traces: List[DayTrace] = []
     for day in days:
         day_trace = runner.run_day(day)
-        result.daily_worst_range_c.append(day_trace.worst_sensor_range_c())
-        result.daily_outside_range_c.append(day_trace.outside_range_c())
-        result.daily_avg_violation_c.append(
-            day_trace.avg_violation_c(violation_threshold_c)
-        )
-        result.daily_max_rate_c_per_hour.append(day_trace.max_rate_c_per_hour())
-        result.daily_degraded_fraction.append(day_trace.degraded_fraction())
-        result.cooling_kwh += day_trace.cooling_energy_kwh()
-        result.it_kwh += day_trace.it_energy_kwh()
-        result.water_l += day_trace.water_liters()
-        result.tower_mech_hours += (
-            day_trace.mech_regime_fraction("tower") * 24.0
-        )
-        result.chiller_mech_hours += (
-            day_trace.mech_regime_fraction("chiller") * 24.0
+        summaries.append(
+            {
+                "worst_range_c": day_trace.worst_sensor_range_c(),
+                "outside_range_c": day_trace.outside_range_c(),
+                "avg_violation_c": day_trace.avg_violation_c(
+                    violation_threshold_c
+                ),
+                "max_rate_c_per_hour": day_trace.max_rate_c_per_hour(),
+                "degraded_fraction": day_trace.degraded_fraction(),
+                "cooling_kwh": day_trace.cooling_energy_kwh(),
+                "it_kwh": day_trace.it_energy_kwh(),
+                "water_l": day_trace.water_liters(),
+                "tower_mech_hours": (
+                    day_trace.mech_regime_fraction("tower") * 24.0
+                ),
+                "chiller_mech_hours": (
+                    day_trace.mech_regime_fraction("chiller") * 24.0
+                ),
+            }
         )
         if keep_traces:
             traces.append(day_trace)
-    if keep_traces:
-        result.traces = traces
-    return result
+    return fold_days(
+        label, climate.name, days, summaries, traces if keep_traces else None
+    )

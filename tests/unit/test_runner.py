@@ -12,7 +12,7 @@ import pytest
 from repro.analysis import experiments, runner
 from repro.errors import ReproError
 from repro.sim.yearsim import YearResult
-from repro.weather.locations import ICELAND, NEWARK, SANTIAGO
+from repro.weather.locations import CHAD, ICELAND, NEWARK, SANTIAGO
 
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
@@ -311,6 +311,89 @@ class TestLaneChunking:
         # The fakes ran in forked workers; the parent's recorder stays
         # empty, which itself proves the pool path was taken.
         assert chunks == []
+
+
+# One day's summary in the shape ``_run_day_chunk`` returns per item.
+FAKE_DAY = {
+    "worst_range_c": 5.0,
+    "outside_range_c": 10.0,
+    "avg_violation_c": 0.0,
+    "max_rate_c_per_hour": 4.0,
+    "degraded_fraction": 0.0,
+    "cooling_kwh": 14.0,
+    "it_kwh": 160.0,
+    "water_l": 0.0,
+    "tower_mech_hours": 0.0,
+    "chiller_mech_hours": 0.0,
+}
+
+
+@fork_only
+class TestChunkFailureIsolation:
+    """A failed chunk never fails its chunk-mates, even with no retries.
+
+    Each of a failed chunk's cells comes back as a single; only the cell
+    that fails on its own is reported.
+    """
+
+    CLIMATES = (NEWARK, SANTIAGO, ICELAND, CHAD)
+
+    def _fake_singles(self, monkeypatch):
+        def run_task(task, use_disk_cache=True):
+            if task.climate.name == "Santiago":
+                raise RuntimeError("bad lane")
+            return fake_result(climate=task.climate.name)
+
+        monkeypatch.setattr(runner, "_run_task", run_task)
+
+    def test_lane_chunk_failure_fails_only_the_bad_cell(
+        self, lane_cache, monkeypatch
+    ):
+        def run_chunk(chunk, use_disk_cache):
+            if any(task.climate.name == "Santiago" for task in chunk):
+                raise RuntimeError("bad lane")
+            return [fake_result(climate=task.climate.name) for task in chunk]
+
+        monkeypatch.setattr(runner, "_run_lane_chunk", run_chunk)
+        self._fake_singles(monkeypatch)
+        failures = []
+        # 4 cells over 2 workers: chunks [Newark, Santiago], [Iceland, Chad].
+        results = runner.run_year_tasks(
+            baseline_tasks(*self.CLIMATES), workers=2, lanes=8,
+            task_retries=0, backoff_s=0.0, failures=failures,
+        )
+        assert [f.task.climate.name for f in failures] == ["Santiago"]
+        assert [r.climate_name if r else None for r in results] == [
+            "Newark", None, "Iceland", "Chad",
+        ]
+
+    def test_day_chunk_failure_fails_only_the_bad_cell(
+        self, lane_cache, monkeypatch
+    ):
+        def run_day_chunk(items, use_disk_cache):
+            if any(task.climate.name == "Santiago" for task, _ in items):
+                raise RuntimeError("bad day")
+            return [dict(FAKE_DAY) for _ in items]
+
+        monkeypatch.setattr(runner, "_run_day_chunk", run_day_chunk)
+        self._fake_singles(monkeypatch)
+        failures = []
+        # 3 days per cell in 2-day chunks: Newark's last day shares a
+        # chunk with Santiago's first.
+        tasks = [
+            runner.YearTask("baseline", climate, sample_every_days=122)
+            for climate in self.CLIMATES
+        ]
+        results = runner.run_year_tasks(
+            tasks, workers=2, lanes=8, day_lanes=2,
+            task_retries=0, backoff_s=0.0, failures=failures,
+        )
+        assert [f.task.climate.name for f in failures] == ["Santiago"]
+        assert [r.climate_name if r else None for r in results] == [
+            "Newark", None, "Iceland", "Chad",
+        ]
+        # Iceland and Chad were folded from their day chunks.
+        assert results[2].cooling_kwh == 3 * FAKE_DAY["cooling_kwh"]
 
 
 class TestFailureKnobResolvers:
@@ -652,6 +735,21 @@ class TestStreaming:
         runner.run_year_tasks(
             tasks, workers=1, keep_results=False, consume=lambda *a: None
         )
+        assert experiments._memory_cache == {}
+
+    @pytest.mark.parametrize("lanes", [1, 8])
+    def test_serial_streaming_run_pins_no_cell(self, lane_cache, lanes):
+        """Cells executed in-process are not kept in the memory cache."""
+        tasks = [
+            runner.YearTask("baseline", climate, sample_every_days=366)
+            for climate in (NEWARK, SANTIAGO, ICELAND)
+        ]
+        seen = []
+        runner.run_year_tasks(
+            tasks, workers=1, lanes=lanes, keep_results=False,
+            consume=lambda i, task, result: seen.append(i),
+        )
+        assert sorted(seen) == [0, 1, 2]
         assert experiments._memory_cache == {}
 
     def test_failed_cells_never_reach_consume(self, tmp_cache, monkeypatch):
